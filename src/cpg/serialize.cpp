@@ -115,6 +115,9 @@ Result<Graph> deserialize_checked(std::span<const std::uint8_t> bytes) {
       if (varint) {
         n.alpha = r.uvarint();
         const std::uint64_t clock_size = r.counted_varint(1, "clock");
+        // Size the clock once; set() would regrow it per component.
+        // lint: allow(format-version-discipline) decode-side allocation only; the bytes read and the format are unchanged
+        n.clock = vclock::VectorClock(clock_size);
         for (std::uint64_t j = 0; j < clock_size; ++j) {
           n.clock.set(j, r.uvarint());
         }
@@ -124,6 +127,8 @@ Result<Graph> deserialize_checked(std::span<const std::uint8_t> bytes) {
       } else {
         n.alpha = r.u64();
         const auto clock = r.u64_vec();
+        // lint: allow(format-version-discipline) decode-side allocation only; the bytes read and the format are unchanged
+        n.clock = vclock::VectorClock(clock.size());
         for (std::size_t j = 0; j < clock.size(); ++j) {
           n.clock.set(j, clock[j]);
         }

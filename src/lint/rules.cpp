@@ -814,11 +814,22 @@ std::vector<Finding> check_format_version(
     const std::vector<FunctionExtent> funcs = function_extents(*lexed);
 
     // Which touched lines land inside a serialize/deserialize function
-    // and are not comment-only?
+    // and are neither comment-only nor covered by a
+    // `lint: allow(format-version-discipline)` annotation (a line that
+    // provably leaves the bytes alone, justified at the site)?
     std::uint32_t first_hit = 0;
     std::string hit_function;
+    auto annotated = [&](std::uint32_t line) {
+      const std::vector<Finding> kept = apply_suppressions(
+          *lexed, {Finding{std::string(kRuleFormatVersion), touch.path, line,
+                           std::string()}});
+      return std::none_of(kept.begin(), kept.end(), [&](const Finding& f) {
+        return f.rule == kRuleFormatVersion && f.line == line;
+      });
+    };
     auto consider = [&](std::uint32_t line, std::string_view text) {
       if (!text.empty() && comment_only_line(text)) return;
+      if (annotated(line)) return;
       for (const FunctionExtent& f : funcs) {
         if (line < f.begin_line || line > f.end_line) continue;
         if (!contains_ci(f.name, "serialize")) continue;  // covers de-

@@ -119,7 +119,9 @@ struct DiffTouch {
 [[nodiscard]] std::vector<DiffTouch> parse_unified_diff(
     std::string_view diff);
 
-/// Check the version-bump discipline over a parsed diff. `lookup`
+/// Check the version-bump discipline over a parsed diff. A touched line
+/// covered by a justified `lint: allow(format-version-discipline)`
+/// annotation in the working tree is exempt. `lookup`
 /// resolves a repo-relative path to its current lexed content (null if
 /// unavailable -- the file is then skipped); the driver backs this
 /// with the working tree, fixtures back it with pretend files.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -26,14 +27,18 @@ using query::Query;
 using query::QueryResult;
 
 /// A pin set: shards load on first touch and stay alive (and
-/// pointer-stable) until the Pins object dies, whatever the store's
-/// LRU does underneath. Scope discipline is what keeps the memory
-/// budget honest -- whole-graph passes (races, slices, propagation,
-/// critical path) must scope their pins per page / per node / per
-/// level / per shard, never per operation, so residency is bounded by
-/// one unit of work plus the store's budgeted cache. The store counts
-/// evicted-but-pinned shards in Stats::peak_resident_bytes, so a pass
-/// that outgrows its scope shows up in the numbers instead of hiding.
+/// pointer-stable) until the Pins object dies. The store never evicts
+/// a pinned shard; a miss it cannot make room for is served uncached
+/// and lives exactly as long as this pin. Scope discipline is
+/// what keeps the memory budget honest -- whole-graph passes (races,
+/// slices, propagation, critical path) must scope their pins per page
+/// / per node / per level / per shard, never per operation, so
+/// residency is bounded by one unit of work plus the store's budgeted
+/// cache, and a pin released between units frees the cache for the
+/// next. The store counts uncached-but-pinned shards in
+/// Stats::peak_resident_bytes, so a pass that outgrows its scope shows
+/// up in the numbers instead of hiding. Page gathers pin only the
+/// shards whose rank fence meets the caller's window (RankWindow).
 /// Load failures (including a corrupt compressed payload, surfaced by
 /// the store as a typed Status) throw StatusError here; the backend's
 /// execute() boundary converts the escape back into its typed Status.
@@ -145,19 +150,30 @@ bool happens_before(Pins& pins, cpg::NodeId a, cpg::NodeId b) {
 }
 
 /// One page's accessor list merged across its owning shards, in global
-/// hb-rank order -- exactly the bucket the unsharded inverted index
-/// holds (per-shard buckets are rank-sorted restrictions, rank is a
-/// global permutation, so the merge is unique). Each entry carries its
-/// node payload pointer (valid while the building Pins lives), so the
-/// pair-dense race scan never re-resolves nodes through the store.
+/// hb-rank order, restricted to a rank window -- exactly the slice of
+/// the bucket the unsharded inverted index holds (per-shard buckets
+/// are rank-sorted restrictions, rank is a global permutation, so the
+/// merge is unique). Each entry carries its node payload pointer
+/// (valid while the building Pins lives), so the pair-dense race scan
+/// never re-resolves nodes through the store.
 struct Bucket {
   std::vector<cpg::NodeId> nodes;    ///< global ids
   std::vector<std::uint32_t> ranks;  ///< aligned, strictly ascending
   std::vector<const cpg::SubComputation*> meta;  ///< aligned payloads
 };
 
+/// The half-open hb-rank range [lo, hi) of a bucket a caller reads:
+/// [0, rank(reader)) for the writers a reader can depend on,
+/// (rank(v), end) for the readers that can happen after v. Ranks are
+/// below total_nodes, which a NodeId bounds, so the default covers
+/// every rank.
+struct RankWindow {
+  std::uint32_t lo = 0;
+  std::uint32_t hi = std::numeric_limits<std::uint32_t>::max();
+};
+
 Bucket merged_bucket(Pins& pins, const Manifest& m, std::uint64_t page,
-                     bool writers) {
+                     bool writers, RankWindow window = {}) {
   struct Entry {
     std::uint32_t rank;
     cpg::NodeId id;
@@ -166,9 +182,13 @@ Bucket merged_bucket(Pins& pins, const Manifest& m, std::uint64_t page,
   std::vector<Entry> entries;
   for (std::uint32_t s = 0; s < m.shard_count; ++s) {
     const ShardInfo& info = m.shards[s];
+    // Fence-pruned without touching the file: the page fence must
+    // cover the page, and the rank fence must meet the window (the
+    // store validated at open that rank fences tile the rank space).
     if (info.min_page == kNoPage || page < info.min_page ||
-        page > info.max_page) {
-      continue;  // fence-pruned without touching the file
+        page > info.max_page || info.rank_hi <= window.lo ||
+        info.rank_lo >= window.hi) {
+      continue;
     }
     const LoadedShard* lsp = pins.shard_or_null(s);
     if (lsp == nullptr) continue;  // quarantined, degraded answer
@@ -176,9 +196,10 @@ Bucket merged_bucket(Pins& pins, const Manifest& m, std::uint64_t page,
     const auto span = writers ? ls.data.graph.page_writers(page)
                               : ls.data.graph.page_readers(page);
     for (const cpg::NodeId local : span) {
-      entries.push_back({ls.data.global_ranks[local],
-                         ls.data.global_ids[local],
-                         &ls.data.graph.nodes()[local]});
+      const std::uint32_t rank = ls.data.global_ranks[local];
+      if (rank < window.lo || rank >= window.hi) continue;
+      entries.push_back(
+          {rank, ls.data.global_ids[local], &ls.data.graph.nodes()[local]});
     }
   }
   std::sort(entries.begin(), entries.end(),
@@ -195,13 +216,6 @@ Bucket merged_bucket(Pins& pins, const Manifest& m, std::uint64_t page,
   return out;
 }
 
-/// First position in `ranks` (ascending) holding a rank >= bound.
-std::size_t rank_lower_bound(const std::vector<std::uint32_t>& ranks,
-                             std::uint32_t bound) {
-  return static_cast<std::size_t>(
-      std::lower_bound(ranks.begin(), ranks.end(), bound) - ranks.begin());
-}
-
 bool page_in_universe(const Manifest& m, std::uint64_t page) {
   return std::binary_search(m.pages.begin(), m.pages.end(), page);
 }
@@ -215,12 +229,12 @@ std::vector<cpg::Edge> latest_writers(Pins& pins, const Manifest& m,
   std::vector<cpg::NodeId> maximal;
   for (const std::uint64_t page : r.node->read_set) {
     if (!page_in_universe(m, page)) continue;
-    const Bucket writers = merged_bucket(pins, m, page, /*writers=*/true);
-    const std::size_t end = rank_lower_bound(writers.ranks, r.rank);
+    const Bucket writers =
+        merged_bucket(pins, m, page, /*writers=*/true, {0, r.rank});
     maximal.clear();
     // Same backward rank walk as Graph::latest_writers: a superseding
     // writer has a higher rank and was already collected.
-    for (std::size_t i = end; i-- > 0;) {
+    for (std::size_t i = writers.nodes.size(); i-- > 0;) {
       const cpg::NodeId w = writers.nodes[i];
       if (!happens_before(pins, w, reader)) continue;
       const bool superseded =
@@ -243,10 +257,9 @@ std::vector<cpg::Edge> data_dependencies(Pins& pins, const Manifest& m,
   std::vector<cpg::Edge> result;
   for (const std::uint64_t page : r.node->read_set) {
     if (!page_in_universe(m, page)) continue;
-    const Bucket writers = merged_bucket(pins, m, page, /*writers=*/true);
-    const std::size_t end = rank_lower_bound(writers.ranks, r.rank);
-    for (std::size_t i = 0; i < end; ++i) {
-      const cpg::NodeId w = writers.nodes[i];
+    const Bucket writers =
+        merged_bucket(pins, m, page, /*writers=*/true, {0, r.rank});
+    for (const cpg::NodeId w : writers.nodes) {
       if (happens_before(pins, w, reader)) {
         result.push_back({w, reader, cpg::EdgeKind::kData, page});
       }
@@ -334,11 +347,9 @@ std::vector<cpg::NodeId> forward_slice(ShardStore& store, Degraded& deg,
       }
       // Data successors: happens-after readers of the pages written.
       for (const std::uint64_t page : v.node->write_set) {
-        const Bucket readers =
-            merged_bucket(pins, m, page, /*writers=*/false);
-        for (std::size_t i = rank_lower_bound(readers.ranks, v.rank + 1);
-             i < readers.nodes.size(); ++i) {
-          const cpg::NodeId reader = readers.nodes[i];
+        const Bucket readers = merged_bucket(pins, m, page,
+                                             /*writers=*/false, {v.rank + 1});
+        for (const cpg::NodeId reader : readers.nodes) {
           if (!visited.test(reader) && happens_before(pins, cur, reader)) {
             visited.set(reader);
             next.push_back(reader);

@@ -10,9 +10,12 @@
 //   - page-local queries (latest_writers, data_dependencies,
 //     page_accessors, happens_before) route to the owning shards via
 //     the manifest fences and merge per-shard inverted-index buckets
-//     in global hb-rank order;
+//     in global hb-rank order. Gathers are rank-fenced: a reader's
+//     writers can only rank below it, so shards whose rank fence lies
+//     wholly above the reader are never opened;
 //   - traversal queries (slices) run breadth-first waves whose
-//     frontier sets cross shards through the stored edge frontier;
+//     frontier sets cross shards through the stored edge frontier
+//     (forward_slice gathers only readers ranked above the node);
 //   - flow queries (taint, invalidate) run the same level-synchronous
 //     fixpoint as analysis/propagation.cpp over the *global*
 //     topological levels, scanning each level's resident shards

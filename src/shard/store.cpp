@@ -161,7 +161,7 @@ ShardStore::ShardStore(std::string dir, Manifest manifest,
 
 void ShardStore::refresh_pinned_locked() const {
   std::uint64_t alive = 0;
-  std::erase_if(evicted_pinned_, [&](const auto& entry) {
+  std::erase_if(uncached_pins_, [&](const auto& entry) {
     if (entry.first.expired()) return true;
     alive += entry.second;
     return false;
@@ -176,6 +176,31 @@ Result<std::shared_ptr<ShardStore>> ShardStore::open(std::string dir,
                                                      StoreOptions options) {
   auto manifest = ShardReader::read_manifest(dir);
   if (!manifest.ok()) return manifest.status();
+  // Queries skip shards by their rank fences without opening them, so
+  // the fences must partition the rank space exactly: consecutive,
+  // gap-free, and as wide as the shard's node count.
+  const Manifest& m = manifest.value();
+  std::uint64_t next_rank = 0;
+  for (std::uint32_t s = 0; s < m.shard_count; ++s) {
+    const ShardInfo& info = m.shards[s];
+    if (info.rank_lo != next_rank || info.rank_hi < info.rank_lo ||
+        info.rank_hi - info.rank_lo != info.node_count) {
+      return Status(StatusCode::kInvalidArgument,
+                    dir + ": shard " + std::to_string(s) + " rank fence [" +
+                        std::to_string(info.rank_lo) + ", " +
+                        std::to_string(info.rank_hi) + ") with " +
+                        std::to_string(info.node_count) +
+                        " nodes does not continue the rank tiling at " +
+                        std::to_string(next_rank));
+    }
+    next_rank = info.rank_hi;
+  }
+  if (next_rank != m.total_nodes) {
+    return Status(StatusCode::kInvalidArgument,
+                  dir + ": shard rank fences end at " +
+                      std::to_string(next_rank) + " but the store holds " +
+                      std::to_string(m.total_nodes) + " nodes");
+  }
   return std::shared_ptr<ShardStore>(new ShardStore(
       std::move(dir), std::move(manifest).value(), options));
 }
@@ -203,8 +228,9 @@ Result<std::shared_ptr<const LoadedShard>> ShardStore::load(
     if (loading_.contains(shard)) {
       // Another thread is decoding this very shard: wait for it
       // rather than decoding the same file twice, then re-check (a
-      // tiny budget may have evicted it again before we woke; a
-      // failure shows up as a quarantine entry).
+      // tiny budget may have evicted it again before we woke, or the
+      // loader kept it uncached; a failure shows up as a quarantine
+      // entry).
       load_done_.wait(lock);
       continue;
     }
@@ -322,6 +348,20 @@ Result<std::shared_ptr<const LoadedShard>> ShardStore::load(
         return mismatch("a frontier edge endpoint");
       }
     }
+    // Rank-fenced gathers skip a shard whose manifest fence lies
+    // outside the caller's window, so a rank outside the fence would
+    // silently drop a node from some answers.
+    const ShardInfo& info = manifest_.shards[shard];
+    for (const std::uint32_t rank : data->global_ranks) {
+      if (rank < info.rank_lo || rank >= info.rank_hi) {
+        return Status(StatusCode::kInvalidArgument,
+                      dir_ + "/" + info.file + ": global rank " +
+                          std::to_string(rank) +
+                          " lies outside the manifest's rank fence [" +
+                          std::to_string(info.rank_lo) + ", " +
+                          std::to_string(info.rank_hi) + ")");
+      }
+    }
     for (const std::uint32_t level : data->global_levels) {
       if (manifest_.level_count == 0 || level >= manifest_.level_count) {
         return mismatch("a topological level");
@@ -358,33 +398,45 @@ Result<std::shared_ptr<const LoadedShard>> ShardStore::load(
   const std::uint64_t slept_us = backoff_slept_ms * 1000;
   m.decode_us.observe(miss_wall_us > slept_us ? miss_wall_us - slept_us : 0);
   // Evict before inserting, so the cache never exceeds max(budget,
-  // one shard) of decoded bytes. Pinned shards stay alive through
-  // their shared_ptrs; eviction only drops the cache reference, and
-  // the evicted-pin ledger keeps the honest peak honest until the
-  // last pin drops.
-  if (options_.memory_budget_bytes > 0) {
-    while (!lru_.empty() &&
-           stats_.resident_bytes + loaded->decoded_bytes >
-               options_.memory_budget_bytes) {
-      Entry& victim = lru_.back();
-      stats_.resident_bytes -= victim.loaded->decoded_bytes;
+  // one shard) of decoded bytes. Only unpinned shards are victims:
+  // evicting a pinned one frees nothing (its pins keep it alive) and
+  // guarantees a miss on the next sweep. The cache's own reference is
+  // the only one exactly when use_count() is 1, and that cannot rise
+  // behind our back -- new pins are handed out only under mu_. If the
+  // unpinned shards cannot make room, nothing is evicted and the new
+  // shard goes to its caller uncached; the uncached-pin ledger keeps
+  // the honest peak honest until the last pin drops.
+  const std::uint64_t budget = options_.memory_budget_bytes;
+  bool cache = true;
+  if (budget > 0 && stats_.resident_bytes + loaded->decoded_bytes > budget) {
+    std::uint64_t pinned = 0;
+    for (const Entry& e : lru_) {
+      if (e.loaded.use_count() > 1) pinned += e.loaded->decoded_bytes;
+    }
+    cache = pinned == 0 || pinned + loaded->decoded_bytes <= budget;
+    for (auto it = lru_.end(); cache && it != lru_.begin() &&
+                               stats_.resident_bytes + loaded->decoded_bytes >
+                                   budget;) {
+      --it;
+      if (it->loaded.use_count() > 1) continue;  // pinned: never evicted
+      stats_.resident_bytes -= it->loaded->decoded_bytes;
       ++stats_.evictions;
       m.evictions.add();
-      if (victim.loaded.use_count() > 1) {
-        evicted_pinned_.emplace_back(victim.loaded,
-                                     victim.loaded->decoded_bytes);
-      }
-      resident_.erase(victim.shard);
-      lru_.pop_back();
+      resident_.erase(it->shard);
+      it = lru_.erase(it);
     }
   }
-  stats_.resident_bytes += loaded->decoded_bytes;
-  stats_.peak_cache_bytes =
-      std::max(stats_.peak_cache_bytes, stats_.resident_bytes);
+  if (cache) {
+    stats_.resident_bytes += loaded->decoded_bytes;
+    stats_.peak_cache_bytes =
+        std::max(stats_.peak_cache_bytes, stats_.resident_bytes);
+    lru_.push_front(Entry{shard, loaded});
+    resident_.emplace(shard, lru_.begin());
+  } else {
+    uncached_pins_.emplace_back(loaded, loaded->decoded_bytes);
+  }
   m.resident_bytes.set(static_cast<std::int64_t>(stats_.resident_bytes));
   refresh_pinned_locked();
-  lru_.push_front(Entry{shard, loaded});
-  resident_.emplace(shard, lru_.begin());
   return std::shared_ptr<const LoadedShard>(std::move(loaded));
 }
 

@@ -1,18 +1,20 @@
 // ShardStore: memory-budgeted access to a sharded CPG store.
 //
 // A store keeps at most `memory_budget_bytes` of decoded shards
-// resident, evicting the least recently used shard when a load would
-// exceed it -- the out-of-core mode: a query session over a store
-// larger than memory streams shards through the budget instead of
-// materializing the graph. The budget unit is the *decoded* body size
-// (the manifest's decoded_bytes): once payloads compress 6-37x, the
-// encoded file size would undercount resident memory by the same
-// factor. load() hands out shared_ptrs, so an evicted shard stays
-// valid for the operation that pinned it and is freed when the last
-// pin drops; Stats tracks those evicted-but-pinned bytes too, so
-// peak_resident_bytes reports the honest memory ceiling, not just the
-// cache's. All entry points are thread-safe; per-shard scan fan-outs
-// hit the cache concurrently.
+// resident, evicting the least recently used *unpinned* shard when a
+// load would exceed it -- the out-of-core mode: a query session over a
+// store larger than memory streams shards through the budget instead
+// of materializing the graph. The budget unit is the *decoded* body
+// size (the manifest's decoded_bytes): once payloads compress 6-37x,
+// the encoded file size would undercount resident memory by the same
+// factor. load() hands out shared_ptrs (pins). A shard some live
+// operation pins is never evicted: dropping the cache's reference
+// would free nothing and only guarantee a miss on the next sweep. A
+// miss the unpinned shards cannot make room for is handed to its
+// caller uncached; Stats counts those uncached-but-pinned bytes too,
+// so peak_resident_bytes reports the honest memory ceiling, not just
+// the cache's. All entry points are thread-safe;
+// per-shard scan fan-outs hit the cache concurrently.
 #pragma once
 
 #include <condition_variable>
@@ -82,9 +84,12 @@ struct RetryPolicy {
 };
 
 struct StoreOptions {
-  /// Resident-shard ceiling in *decoded* bytes (0 = unlimited). A
-  /// single shard larger than the budget still loads -- the cache then
-  /// holds just that shard.
+  /// Cache ceiling in *decoded* bytes (0 = unlimited). A single shard
+  /// larger than the budget still loads -- the cache then holds just
+  /// that shard. Eviction skips shards a live operation pins; a miss
+  /// that still does not fit is served uncached (Stats::pinned_bytes),
+  /// so the cache stays within max(budget, one shard) while the honest
+  /// peak counts every pinned byte.
   std::uint64_t memory_budget_bytes = 0;
   RetryPolicy retry_policy;
 };
@@ -94,14 +99,15 @@ class ShardStore {
   struct Stats {
     std::uint64_t loads = 0;      ///< file reads + decodes (cache misses)
     std::uint64_t hits = 0;       ///< served from the resident set
-    std::uint64_t evictions = 0;  ///< shards dropped for the budget
+    std::uint64_t evictions = 0;  ///< unpinned shards dropped for the budget
     /// Decoded bytes in the LRU cache. Bounded by
     /// max(memory_budget_bytes, one shard); peak_cache_bytes is its
     /// high-water mark.
     std::uint64_t resident_bytes = 0;
     std::uint64_t peak_cache_bytes = 0;
-    /// Decoded bytes of shards evicted from the cache but still alive
-    /// through an operation's pins.
+    /// Decoded bytes of shards served uncached -- misses the unpinned
+    /// cached shards could not make room for -- and still alive
+    /// through an operation's pins; drains as those pins drop.
     std::uint64_t pinned_bytes = 0;
     /// High-water mark of resident_bytes + pinned_bytes: the honest
     /// memory ceiling. Exceeds the budget exactly when concurrent
@@ -119,11 +125,13 @@ class ShardStore {
   };
 
   /// Open a store directory: reads + validates the manifest only;
-  /// shards load lazily. The snapshot is the manifest read here: a
-  /// shard::append() or rewrite landing later swaps the directory to
-  /// a new generation and sweeps the old files, so this store's lazy
-  /// loads of rewritten shards then fail with typed kNotFound --
-  /// reopen to serve the new generation.
+  /// shards load lazily. The rank fences must tile [0, total_nodes) in
+  /// shard order with rank_hi - rank_lo == node_count (queries prune
+  /// shards by them); anything else is kInvalidArgument. The snapshot
+  /// is the manifest read here: a shard::append() or rewrite landing
+  /// later swaps the directory to a new generation and sweeps the old
+  /// files, so this store's lazy loads of rewritten shards then fail
+  /// with typed kNotFound -- reopen to serve the new generation.
   [[nodiscard]] static Result<std::shared_ptr<ShardStore>> open(
       std::string dir, StoreOptions options = {});
 
@@ -137,13 +145,14 @@ class ShardStore {
     return manifest_.node_shard[global];
   }
 
-  /// Fetch one shard, loading and evicting as needed. Transient read
-  /// failures retry under options.retry_policy; a load that still
-  /// fails -- corrupt bytes, a missing file, exhausted retries --
-  /// quarantines the shard, and this and every later load of it
-  /// returns kUnavailable naming the shard, its file, and the original
-  /// cause, without touching the disk again. Other shards keep
-  /// serving; reopen the store to lift quarantines.
+  /// Fetch one shard, loading and evicting as needed (StoreOptions
+  /// states the budget rule). Transient read failures retry under
+  /// options.retry_policy; a load that still fails -- corrupt bytes, a
+  /// missing file, exhausted retries, ids or ranks outside the
+  /// manifest's bounds -- quarantines the shard, and this and every
+  /// later load of it returns kUnavailable naming the shard, its file,
+  /// and the original cause, without touching the disk again. Other
+  /// shards keep serving; reopen the store to lift quarantines.
   [[nodiscard]] Result<std::shared_ptr<const LoadedShard>> load(
       std::uint32_t shard);
 
@@ -178,14 +187,14 @@ class ShardStore {
   /// LRU: front = most recently used.
   std::list<Entry> lru_;
   std::unordered_map<std::uint32_t, std::list<Entry>::iterator> resident_;
-  /// Shards evicted from the cache whose pins may still hold them
-  /// live; pruned (and the pinned-byte tally refreshed) under mu_.
+  /// Shards served uncached whose pins may still hold them live;
+  /// pruned (and the pinned-byte tally refreshed) under mu_.
   mutable std::vector<std::pair<std::weak_ptr<const LoadedShard>,
                                 std::uint64_t>>
-      evicted_pinned_;
+      uncached_pins_;
   mutable Stats stats_;
 
-  /// Drop expired evicted-pin entries, refresh pinned_bytes, and bump
+  /// Drop expired uncached-pin entries, refresh pinned_bytes, and bump
   /// the honest peak. Callers hold mu_.
   void refresh_pinned_locked() const;
 };

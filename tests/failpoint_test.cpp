@@ -303,6 +303,68 @@ TEST(FailpointStore, DegradedModeServesPartialAnswers) {
   EXPECT_EQ(untouched.find("\"degraded\""), std::string::npos);
 }
 
+TEST(FailpointStore, QuarantinedShardAboveTheReaderLeavesLatestWritersIntact) {
+  // A reader's writers all rank below it, so a latest_writers gather
+  // never opens a shard whose rank fence lies wholly above the reader
+  // -- even when that shard's page fence covers the pages read. Such a
+  // shard can be quarantined without failing (strict) or degrading
+  // (--allow-degraded) the query: the reply equals the healthy one.
+  FailpointGuard guard;
+  fixtures::ThreadCountGuard threads;
+  util::set_analysis_threads(1);
+  const cpg::Graph source = fixtures::random_history(45);
+  const std::string dir = temp_path("failpoint_rank_fenced");
+  fs::remove_all(dir);
+  const auto manifest =
+      shard::write_store(source, dir, shard::PlanOptions{3});
+  ASSERT_TRUE(manifest.ok()) << manifest.status().message();
+  const shard::ShardInfo& dead = manifest->shards.back();
+
+  // A reader below the last shard with writers to report and a read
+  // page inside the last shard's page fence.
+  cpg::NodeId reader = cpg::kInvalidNode;
+  std::uint64_t shared_page = 0;
+  for (cpg::NodeId v = 0; v < source.nodes().size(); ++v) {
+    if (manifest->node_shard[v] + 1 >= manifest->shard_count ||
+        source.latest_writers(v).empty()) {
+      continue;
+    }
+    for (const std::uint64_t page : source.node(v).read_set) {
+      if (page >= dead.min_page && page <= dead.max_page) {
+        reader = v;
+        shared_page = page;
+        break;
+      }
+    }
+    if (reader != cpg::kInvalidNode) break;
+  }
+  ASSERT_NE(reader, cpg::kInvalidNode) << "history has no suitable reader";
+
+  const auto one_query = [&](const Query& q, bool allow) {
+    auto store = shard::ShardStore::open(dir);
+    EXPECT_TRUE(store.ok()) << store.status().message();
+    shard::ShardedQueryEngine engine(std::move(store).value(),
+                                     query::EngineOptions{}, allow);
+    return wire::serialize_reply(1, engine.run(QueryEngine::kDefaultSession, q));
+  };
+  const std::string healthy = one_query(LatestWritersQuery{reader}, false);
+  ASSERT_NE(healthy.find("\"status\":\"ok\""), std::string::npos) << healthy;
+
+  const std::string file = dir + "/" + dead.file;
+  auto bytes = shard::read_file_bytes(file);
+  ASSERT_TRUE(bytes.ok());
+  bytes.value()[bytes->size() / 2] ^= 0xFF;
+  ASSERT_TRUE(shard::write_file_bytes(file, *bytes).ok());
+
+  // The damage is real: a gather that needs the last shard fails.
+  const std::string page_reply =
+      one_query(PageAccessorsQuery{shared_page}, false);
+  EXPECT_NE(page_reply.find("\"status\":\"unavailable\""), std::string::npos)
+      << page_reply;
+  EXPECT_EQ(one_query(LatestWritersQuery{reader}, false), healthy);
+  EXPECT_EQ(one_query(LatestWritersQuery{reader}, true), healthy);
+}
+
 TEST(FailpointStore, CrashConsistencySweepOverEveryAppendStep) {
   FailpointGuard guard;
   fixtures::ThreadCountGuard threads;
