@@ -1,7 +1,8 @@
 // bench_query_throughput -- latency and batched throughput of the
 // unified query engine (query/engine.h) on a synthetic CPG, at 1/2/4/8
 // analysis workers. One machine-readable JSON line per (query type,
-// worker count): single-query latency plus run_batch queries/sec, with
+// worker count): single-query latency (mean, p50 and p99 over every
+// batch entry) plus run_batch queries/sec, with
 // the serialized replies fingerprinted and compared across worker
 // counts -- a line with "identical":false is a determinism bug.
 //
@@ -134,9 +135,18 @@ std::vector<query::Query> make_batch(const std::string& type,
   return batch;
 }
 
+/// The `pct`-th percentile (nearest rank) of ascending samples.
+double percentile(const std::vector<double>& sorted, std::size_t pct) {
+  return sorted.empty() ? 0.0 : sorted[sorted.size() * pct / 100];
+}
+
 struct Measurement {
   double batch_ms = 0;
-  double latency_ms = 0;  ///< average single-query latency
+  /// Single-query latency over every batch entry, run one at a time:
+  /// mean and nearest-rank percentiles.
+  double latency_ms = 0;
+  double latency_p50_ms = 0;
+  double latency_p99_ms = 0;
   std::uint64_t hash = 0;
 };
 
@@ -159,12 +169,23 @@ Measurement measure(std::shared_ptr<const cpg::Graph> snapshot,
     m.hash = fnv1a(m.hash, query::wire::serialize_reply(i + 1, replies[i]));
   }
 
-  const std::size_t latency_reps = std::min<std::size_t>(batch.size(), 16);
-  const auto t1 = Clock::now();
-  for (std::size_t i = 0; i < latency_reps; ++i) {
-    (void)engine.run(batch[i], options);
+  // Every entry, not a prefix: batches cycle anchors by id, so the
+  // first entries are the cheapest (near-empty low-id slices).
+  std::vector<double> latencies;
+  latencies.reserve(batch.size());
+  for (const query::Query& q : batch) {
+    const auto t1 = Clock::now();
+    (void)engine.run(q, options);
+    latencies.push_back(ms_since(t1));
   }
-  m.latency_ms = ms_since(t1) / static_cast<double>(latency_reps);
+  double total = 0;
+  for (const double l : latencies) total += l;
+  std::sort(latencies.begin(), latencies.end());
+  if (!latencies.empty()) {
+    m.latency_ms = total / static_cast<double>(latencies.size());
+  }
+  m.latency_p50_ms = percentile(latencies, 50);
+  m.latency_p99_ms = percentile(latencies, 99);
   return m;
 }
 
@@ -246,10 +267,8 @@ ServedRun drive_clients(const std::string& path, unsigned clients,
   std::vector<double> all;
   for (auto& v : latencies) all.insert(all.end(), v.begin(), v.end());
   std::sort(all.begin(), all.end());
-  if (!all.empty()) {
-    run.p50_ms = all[all.size() / 2];
-    run.p99_ms = all[all.size() * 99 / 100];
-  }
+  run.p50_ms = percentile(all, 50);
+  run.p99_ms = percentile(all, 99);
   for (const std::uint64_t h : hashes) run.identical = run.identical && h == want;
   return run;
 }
@@ -426,6 +445,8 @@ int main(int argc, char** argv) {
                                   m.batch_ms
                             : 0.0)
           .field("latency_ms", m.latency_ms)
+          .field("latency_p50_ms", m.latency_p50_ms)
+          .field("latency_p99_ms", m.latency_p99_ms)
           .field("speedup_vs_1w",
                  m.batch_ms > 0 ? baseline.batch_ms / m.batch_ms : 0.0)
           .field("identical", identical)

@@ -526,11 +526,6 @@ std::vector<NodeId> Graph::forward_slice(NodeId start) const {
   return slice;
 }
 
-std::vector<NodeId> Graph::topological_order() const {
-  const auto view = topological_view();
-  return {view.begin(), view.end()};
-}
-
 std::span<const NodeId> Graph::topological_view() const {
   if (has_cycle_) throw std::logic_error("CPG contains a cycle");
   return topo_;

@@ -779,6 +779,16 @@ bool comment_only_line(std::string_view text) {
          starts_with(rest, "/*");
 }
 
+bool cpp_path(std::string_view path) {
+  for (const std::string_view ext : {".cpp", ".h", ".cc", ".hpp"}) {
+    if (path.size() >= ext.size() &&
+        path.compare(path.size() - ext.size(), ext.size(), ext) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
 struct VersionedArea {
   std::string_view file;
   std::vector<std::string_view> constants;
@@ -844,13 +854,18 @@ std::vector<Finding> check_format_version(
       consider(line, std::string_view());
     if (first_hit == 0) continue;
 
-    // Does any ± line in the whole diff touch one of the area's
-    // version constants?
+    // Does any ± code line of a C++ file in the diff touch one of the
+    // area's version constants? Prose (a changelog saying "no bump")
+    // and comments naming the constant leave the version alone.
     bool bumped = false;
     for (const DiffTouch& other : diff) {
+      if (!cpp_path(other.path)) continue;
       for (const std::string& text : other.changed_texts) {
+        if (comment_only_line(text)) continue;
+        const std::string_view code =
+            std::string_view(text).substr(0, text.find("//"));
         for (const std::string_view constant : area->constants) {
-          bumped = bumped || text.find(constant) != std::string::npos;
+          bumped = bumped || code.find(constant) != std::string_view::npos;
         }
       }
     }

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <limits>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -31,13 +33,13 @@ using query::QueryResult;
 /// a pinned shard; a miss it cannot make room for is served uncached
 /// and lives exactly as long as this pin. Scope discipline is
 /// what keeps the memory budget honest -- whole-graph passes (races,
-/// slices, propagation, critical path) must scope their pins per page
-/// / per node / per level / per shard, never per operation, so
-/// residency is bounded by one unit of work plus the store's budgeted
-/// cache, and a pin released between units frees the cache for the
-/// next. The store counts uncached-but-pinned shards in
-/// Stats::peak_resident_bytes, so a pass that outgrows its scope shows
-/// up in the numbers instead of hiding. Page gathers pin only the
+/// slices, propagation, critical path) must scope their pins per shard
+/// visit / per node / per level, never per operation, so residency is
+/// bounded by one unit of work plus the store's budgeted cache, and a
+/// pin released between units frees the cache for the next. The store
+/// counts uncached-but-pinned shards in Stats::peak_resident_bytes, so
+/// a pass that outgrows its scope shows up in the numbers instead of
+/// hiding. Page gathers pin only the
 /// shards whose rank fence meets the caller's window (RankWindow).
 /// Load failures (including a corrupt compressed payload, surfaced by
 /// the store as a typed Status) throw StatusError here; the backend's
@@ -60,6 +62,11 @@ class Pins {
       : store_(store),
         degraded_(degraded),
         held_(store.manifest().shard_count) {}
+
+  /// The store's resident-first shard order (ShardStore::visit_order).
+  [[nodiscard]] std::vector<std::uint32_t> visit_order() const {
+    return store_.visit_order();
+  }
 
   const LoadedShard& shard(std::uint32_t index) {
     const LoadedShard* ls = load(index, /*lenient=*/false);
@@ -153,9 +160,10 @@ bool happens_before(Pins& pins, cpg::NodeId a, cpg::NodeId b) {
 /// hb-rank order, restricted to a rank window -- exactly the slice of
 /// the bucket the unsharded inverted index holds (per-shard buckets
 /// are rank-sorted restrictions, rank is a global permutation, so the
-/// merge is unique). Each entry carries its node payload pointer
-/// (valid while the building Pins lives), so the pair-dense race scan
-/// never re-resolves nodes through the store.
+/// merge is unique). Each entry carries its node payload pointer,
+/// valid while the building Pins lives -- or, for the race scan's
+/// buckets, while the batch owning the node copies lives -- so the
+/// pair-dense race scan never re-resolves nodes through the store.
 struct Bucket {
   std::vector<cpg::NodeId> nodes;    ///< global ids
   std::vector<std::uint32_t> ranks;  ///< aligned, strictly ascending
@@ -180,7 +188,10 @@ Bucket merged_bucket(Pins& pins, const Manifest& m, std::uint64_t page,
     const cpg::SubComputation* node;
   };
   std::vector<Entry> entries;
-  for (std::uint32_t s = 0; s < m.shard_count; ++s) {
+  // Cached shards first: pinning them before any miss loads keeps the
+  // misses from evicting them. The rank sort below makes the merge
+  // independent of the order.
+  for (const std::uint32_t s : pins.visit_order()) {
     const ShardInfo& info = m.shards[s];
     // Fence-pruned without touching the file: the page fence must
     // cover the page, and the rank fence must meet the window (the
@@ -365,11 +376,20 @@ std::vector<cpg::NodeId> forward_slice(ShardStore& store, Degraded& deg,
 
 // --- races ------------------------------------------------------------
 //
-// A structural replica of analysis/races.cpp over merged buckets: the
-// same page-major order, limit short-circuit, and report emission --
-// the storage-independent pair bookkeeping is literally shared
-// (analysis/race_pairs.h), so reports and their truncation point are
-// identical by construction.
+// A structural replica of analysis/races.cpp: the same page order,
+// limit short-circuit, and report emission -- the storage-independent
+// pair bookkeeping is literally shared (analysis/race_pairs.h), so
+// reports and their truncation point are identical by construction.
+//
+// Only the gather differs, and it is shard-major: the scan pages (the
+// page universe minus the ignored pages, in global order) split into
+// batches, and per batch every shard whose page fence meets the batch
+// is visited once, under its own pin, while the batch pages' accessor
+// entries it holds are copied out. The pin drops before the next shard
+// loads, so residency is one shard plus the batch's copies, and a
+// batch loads each fence-eligible shard at most once instead of once
+// per page (the parallel-sliding-windows discipline of streaming each
+// shard once per pass).
 
 using analysis::detail::note_page;
 using analysis::detail::PairConflicts;
@@ -436,75 +456,169 @@ void scan_page(std::uint64_t page, const Bucket& writers,
   }
 }
 
+/// Owned node copies keyed by global id. A copy keeps what the pair
+/// scan reads -- id, thread, alpha, vector clock -- and, for a limited
+/// scan's truncated re-derivation, the page sets; never thunks.
+using NodeCopies = std::unordered_map<cpg::NodeId, cpg::SubComputation>;
+
+/// One batch of scan pages, gathered shard-major. The buckets' meta
+/// pointers point into `nodes`, which owns one copy per accessor.
+struct RaceBatch {
+  NodeCopies nodes;
+  std::vector<Bucket> writers;  ///< aligned with the batch pages
+  std::vector<Bucket> readers;
+};
+
+RaceBatch gather_race_batch(ShardStore& store, Degraded& deg,
+                            std::span<const std::uint64_t> pages,
+                            bool page_sets) {
+  const Manifest& m = store.manifest();
+  struct Entry {
+    std::uint32_t rank;
+    const cpg::SubComputation* node;  ///< stable: map nodes never move
+  };
+  std::vector<std::vector<Entry>> writers(pages.size());
+  std::vector<std::vector<Entry>> readers(pages.size());
+  RaceBatch batch;
+  const auto copy_out = [&](const LoadedShard& ls,
+                            std::span<const cpg::NodeId> locals,
+                            std::vector<Entry>& out) {
+    for (const cpg::NodeId local : locals) {
+      const cpg::NodeId id = ls.data.global_ids[local];
+      auto [it, fresh] = batch.nodes.try_emplace(id);
+      if (fresh) {
+        const cpg::SubComputation& src = ls.data.graph.nodes()[local];
+        cpg::SubComputation& dst = it->second;
+        dst.id = id;
+        dst.thread = src.thread;
+        dst.alpha = src.alpha;
+        dst.clock = src.clock;
+        if (page_sets) {
+          dst.read_set = src.read_set;
+          dst.write_set = src.write_set;
+        }
+      }
+      out.push_back({ls.data.global_ranks[local], &it->second});
+    }
+  };
+  for (const std::uint32_t s : store.visit_order()) {
+    const ShardInfo& info = m.shards[s];
+    // Fence-pruned without touching the file: some batch page must lie
+    // inside the shard's page fence.
+    if (info.min_page == kNoPage) continue;
+    const auto first =
+        std::lower_bound(pages.begin(), pages.end(), info.min_page);
+    if (first == pages.end() || *first > info.max_page) continue;
+    Pins pins(store, deg);
+    const LoadedShard* ls = pins.shard_or_null(s);
+    if (ls == nullptr) continue;  // quarantined, degraded answer
+    for (auto it = first; it != pages.end() && *it <= info.max_page; ++it) {
+      const auto k = static_cast<std::size_t>(it - pages.begin());
+      copy_out(*ls, ls->data.graph.page_writers(*it), writers[k]);
+      copy_out(*ls, ls->data.graph.page_readers(*it), readers[k]);
+    }
+  }
+  // Per-shard buckets are rank-sorted restrictions of a global
+  // permutation, so sorting the union by rank is the unique merge.
+  const auto bucket = [](std::vector<Entry>& entries) {
+    std::sort(entries.begin(), entries.end(),
+              [](const Entry& a, const Entry& b) { return a.rank < b.rank; });
+    Bucket out;
+    out.nodes.reserve(entries.size());
+    out.ranks.reserve(entries.size());
+    out.meta.reserve(entries.size());
+    for (const Entry& e : entries) {
+      out.nodes.push_back(e.node->id);
+      out.ranks.push_back(e.rank);
+      out.meta.push_back(e.node);
+    }
+    return out;
+  };
+  batch.writers.reserve(pages.size());
+  batch.readers.reserve(pages.size());
+  for (std::size_t k = 0; k < pages.size(); ++k) {
+    batch.writers.push_back(bucket(writers[k]));
+    batch.readers.push_back(bucket(readers[k]));
+  }
+  return batch;
+}
+
 std::vector<analysis::RaceReport> find_races(ShardStore& store, Degraded& deg,
                                              const PageSet& ignored_pages,
                                              std::size_t limit) {
   const Manifest& m = store.manifest();
   PageSet ignored = ignored_pages;
   page_set_normalize(ignored);
+  std::vector<std::uint64_t> scan;
+  std::set_difference(m.pages.begin(), m.pages.end(), ignored.begin(),
+                      ignored.end(), std::back_inserter(scan));
+  const std::size_t per_batch =
+      race_batch_pages(m, store.memory_budget_bytes());
+  const auto batch_at = [&](std::size_t begin) {
+    return std::span<const std::uint64_t>(scan).subspan(
+        begin, std::min(per_batch, scan.size() - begin));
+  };
 
+  PairMap pairs;
+  NodeCopies kept;  ///< the racy pairs' nodes (limited scans only)
+  bool truncated = false;
   if (limit != 0) {
     // Limited scans are scan-order dependent (they stop at a page
-    // boundary), so they stay serial, in global page order. Pins are
-    // per page: residency is one page's owning shards, and the
-    // store's budgeted cache absorbs the shard reuse across pages.
-    PairMap pairs;
-    bool truncated = false;
-    for (const std::uint64_t page : m.pages) {
-      if (pairs.size() >= limit) {
-        truncated = true;
-        break;
+    // boundary), so they stay serial, in global page order, and
+    // gather nothing once the limit is reached.
+    std::size_t scanned = 0;
+    while (scanned < scan.size() && pairs.size() < limit) {
+      const auto pages = batch_at(scanned);
+      RaceBatch batch = gather_race_batch(store, deg, pages,
+                                          /*page_sets=*/true);
+      for (std::size_t k = 0; k < pages.size() && pairs.size() < limit;
+           ++k, ++scanned) {
+        scan_page(pages[k], batch.writers[k], batch.readers[k], pairs);
       }
-      if (page_set_contains(ignored, page)) continue;
-      Pins pins(store, deg);
-      const Bucket writers = merged_bucket(pins, m, page, /*writers=*/true);
-      const Bucket readers = merged_bucket(pins, m, page, /*writers=*/false);
-      scan_page(page, writers, readers, pairs);
-    }
-    // The truncated re-derivation touches only the racy pairs' nodes
-    // (at most `limit` of them), so one pin set is bounded here.
-    Pins pins(store, deg);
-    const auto node_of =
-        [&pins](cpg::NodeId id) -> const cpg::SubComputation& {
-      return *pins.node(id).node;
-    };
-    return analysis::detail::emit_reports(node_of, pairs, ignored, truncated,
-                                          limit);
-  }
-
-  // Full scan: pages fan out over the pool, per-worker pair maps merge
-  // by min -- commutative, so the report list is identical at every
-  // worker and shard count.
-  const auto pool = util::shared_pool();
-  util::WorkerLocal<PairMap> local(*pool);
-  pool->parallel_for(
-      0, m.pages.size(), 32, [&](std::size_t b, std::size_t e, unsigned w) {
-        PairMap& pairs = local[w];
-        for (std::size_t idx = b; idx < e; ++idx) {
-          const std::uint64_t page = m.pages[idx];
-          if (page_set_contains(ignored, page)) continue;
-          // Per-page pins (one page's owning shards resident per
-          // worker); cross-page shard reuse is the cache's job.
-          Pins pins(store, deg);
-          const Bucket writers =
-              merged_bucket(pins, m, page, /*writers=*/true);
-          const Bucket readers =
-              merged_bucket(pins, m, page, /*writers=*/false);
-          scan_page(page, writers, readers, pairs);
+      // The truncated re-derivation reads the racy pairs' page sets
+      // after the batch is gone. Which pairs hold which ids does not
+      // depend on the map's iteration order.
+      for (const auto& [key, conflicts] : pairs) {
+        for (const auto id : {static_cast<cpg::NodeId>(key >> 32),
+                              static_cast<cpg::NodeId>(key & 0xFFFFFFFF)}) {
+          if (!kept.contains(id)) {
+            kept.emplace(id, std::move(batch.nodes.at(id)));
+          }
         }
-      });
-  PairMap merged = std::move(local[0]);
-  for (unsigned w = 1; w < pool->worker_count(); ++w) {
-    analysis::detail::merge_min(merged, local[w]);
+      }
+    }
+    // The page-major loop's flag exactly: the limit was reached while
+    // some page of the universe, ignored or not, remained.
+    truncated = pairs.size() >= limit && scan[scanned - 1] < m.pages.back();
+  } else {
+    // Full scan: per batch, the pages fan out over the pool, and the
+    // per-worker pair maps merge by min -- commutative, so the report
+    // list is identical at every worker, shard, and batch count.
+    const auto pool = util::shared_pool();
+    util::WorkerLocal<PairMap> local(*pool);
+    for (std::size_t begin = 0; begin < scan.size(); begin += per_batch) {
+      const auto pages = batch_at(begin);
+      const RaceBatch batch = gather_race_batch(store, deg, pages,
+                                                /*page_sets=*/false);
+      pool->parallel_for(
+          0, pages.size(), 32, [&](std::size_t b, std::size_t e, unsigned w) {
+            for (std::size_t k = b; k < e; ++k) {
+              scan_page(pages[k], batch.writers[k], batch.readers[k],
+                        local[w]);
+            }
+          });
+    }
+    pairs = std::move(local[0]);
+    for (unsigned w = 1; w < pool->worker_count(); ++w) {
+      analysis::detail::merge_min(pairs, local[w]);
+    }
   }
-  // Full scans never take the truncated path, so node_of is never
-  // consulted; a throwaway pin set satisfies the signature.
-  Pins pins(store, deg);
-  const auto node_of = [&pins](cpg::NodeId id) -> const cpg::SubComputation& {
-    return *pins.node(id).node;
+  // Only the truncated path consults node_of.
+  const auto node_of = [&kept](cpg::NodeId id) -> const cpg::SubComputation& {
+    return kept.at(id);
   };
-  return analysis::detail::emit_reports(node_of, merged, ignored,
-                                        /*truncated=*/false, /*limit=*/0);
+  return analysis::detail::emit_reports(node_of, pairs, ignored, truncated,
+                                        limit);
 }
 
 // --- flow propagation (taint / invalidate) ----------------------------
@@ -732,6 +846,21 @@ query::CriticalPathResult critical_path(ShardStore& store, Degraded& deg) {
 }
 
 }  // namespace
+
+std::size_t race_batch_pages(const Manifest& m, std::uint64_t budget) {
+  const std::size_t all = std::max<std::size_t>(m.pages.size(), 1);
+  std::uint64_t total = 0;
+  std::uint64_t largest = 0;
+  for (const ShardInfo& info : m.shards) {
+    total += info.decoded_bytes;
+    largest = std::max(largest, info.decoded_bytes);
+  }
+  const std::uint64_t room = std::max(budget, largest);
+  if (budget == 0 || room >= total) return all;
+  const auto share = static_cast<std::size_t>(
+      static_cast<long double>(m.pages.size()) * room / total);
+  return std::clamp<std::size_t>(share, 1, all);
+}
 
 ShardBackend::ShardBackend(std::shared_ptr<ShardStore> store,
                            bool allow_degraded)

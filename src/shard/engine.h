@@ -20,7 +20,11 @@
 //     fixpoint as analysis/propagation.cpp over the *global*
 //     topological levels, scanning each level's resident shards
 //     chunk-parallel on the shared util::TaskPool;
-//   - races scan the global page universe page-major (parallel when
+//   - races gather shard-major: the scan pages split into batches
+//     (race_batch_pages), and each batch visits every shard whose page
+//     fence meets it once, copying out the batch's accessors before
+//     the next shard loads -- residency is one shard plus the batch's
+//     copies. Pages then scan in global order (parallel when
 //     unlimited, with the same commutative min-merge as
 //     analysis/races.cpp);
 //   - critical path is one forward pass over the shards in rank order
@@ -29,12 +33,21 @@
 //   - stats answers straight from the manifest.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 
 #include "query/engine.h"
 #include "shard/store.h"
 
 namespace inspector::shard {
+
+/// Scan pages per race batch: the share of the page universe whose
+/// payload -- the store's decoded bytes, spread evenly over its pages
+/// -- fits max(budget, largest shard), at least one page. An unlimited
+/// budget (0) scans the whole universe as one batch.
+[[nodiscard]] std::size_t race_batch_pages(const Manifest& m,
+                                           std::uint64_t budget);
 
 class ShardBackend final : public query::QueryBackend {
  public:

@@ -440,6 +440,23 @@ Result<std::shared_ptr<const LoadedShard>> ShardStore::load(
   return std::shared_ptr<const LoadedShard>(std::move(loaded));
 }
 
+std::vector<std::uint32_t> ShardStore::visit_order() const {
+  std::vector<std::uint32_t> order;
+  order.reserve(manifest_.shard_count);
+  std::vector<char> listed(manifest_.shard_count, 0);
+  {
+    std::lock_guard lock(mu_);
+    for (const Entry& e : lru_) {
+      order.push_back(e.shard);
+      listed[e.shard] = 1;
+    }
+  }
+  for (std::uint32_t s = 0; s < manifest_.shard_count; ++s) {
+    if (listed[s] == 0) order.push_back(s);
+  }
+  return order;
+}
+
 ShardStore::Stats ShardStore::stats() const {
   std::lock_guard lock(mu_);
   refresh_pinned_locked();

@@ -139,6 +139,9 @@ class ShardStore {
     return manifest_;
   }
   [[nodiscard]] const std::string& directory() const noexcept { return dir_; }
+  [[nodiscard]] std::uint64_t memory_budget_bytes() const noexcept {
+    return options_.memory_budget_bytes;
+  }
 
   /// The shard owning a global node id (caller checks the id range).
   [[nodiscard]] std::uint32_t shard_of(cpg::NodeId global) const {
@@ -155,6 +158,14 @@ class ShardStore {
   /// shards keep serving; reopen the store to lift quarantines.
   [[nodiscard]] Result<std::shared_ptr<const LoadedShard>> load(
       std::uint32_t shard);
+
+  /// Every shard index exactly once: the shards cached right now
+  /// first (most recently used first), then the rest ascending. The
+  /// cached set is one snapshot taken under the lock, so the order is
+  /// a permutation of [0, shard_count) however other threads load and
+  /// evict meanwhile. A gather that visits shards in this order hits
+  /// what is cached before its own misses can evict it.
+  [[nodiscard]] std::vector<std::uint32_t> visit_order() const;
 
   [[nodiscard]] Stats stats() const;
 

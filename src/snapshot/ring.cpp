@@ -34,7 +34,11 @@ std::optional<cpg::Graph> SnapshotRing::consume() {
   if (queue_.empty()) return std::nullopt;
   const std::vector<std::uint8_t> packed = std::move(queue_.front());
   queue_.pop_front();
-  return cpg::deserialize(decompress(packed));
+  // The ring compressed these bytes itself, so a failed decode is
+  // memory damage; it throws the way deserialize() does.
+  auto raw = decompress_checked(packed);
+  if (!raw.ok()) throw std::runtime_error(raw.status().message());
+  return cpg::deserialize(raw.value());
 }
 
 }  // namespace inspector::snapshot

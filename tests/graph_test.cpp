@@ -189,16 +189,19 @@ TEST(Graph, EmptyGraphIsValid) {
   EXPECT_TRUE(g.topological_view().empty());
 }
 
-TEST(Graph, DeprecatedCopyingOrderMatchesView) {
-  // The deprecated accessor must keep returning the same order until it
-  // is removed; new code uses topological_view().
+TEST(Graph, TopologicalViewIsTheCachedOrder) {
+  // The order is computed once at construction: every call views the
+  // same storage, covering each node exactly once.
   const Graph g = figure1_graph();
   const auto view = g.topological_view();
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const auto copy = g.topological_order();
-#pragma GCC diagnostic pop
-  EXPECT_EQ(copy, std::vector<NodeId>(view.begin(), view.end()));
+  const auto again = g.topological_view();
+  EXPECT_EQ(view.data(), again.data());
+  ASSERT_EQ(view.size(), g.nodes().size());
+  std::vector<NodeId> sorted(view.begin(), view.end());
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    EXPECT_EQ(sorted[i], static_cast<NodeId>(i));
+  }
 }
 
 }  // namespace

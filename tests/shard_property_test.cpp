@@ -15,7 +15,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cpg/graph.h"
@@ -138,6 +140,121 @@ TEST_P(ShardProperty, RepliesIdenticalAcrossShardAndWorkerCounts) {
       }
     }
   }
+}
+
+/// A races query that scans only pages [lo, lo + k) of `pages`: every
+/// other page of the universe is ignored.
+RacesQuery window_races(std::span<const std::uint64_t> pages, std::size_t lo,
+                        std::size_t k, std::uint64_t limit) {
+  RacesQuery q;
+  q.limit = limit;
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    if (i < lo || i >= lo + k) q.ignored_pages.push_back(pages[i]);
+  }
+  return q;
+}
+
+// Window-scoped limited races -- the shape of an analyst asking "do
+// these pages race?" -- against the in-memory engine. The sharded scan
+// gathers in batches of scan pages (shard::race_batch_pages), so the
+// windows are cut around the batch size of each store, with limits
+// taken from the in-memory racy-pair counts of window prefixes: c(j)
+// pairs after the window's first j pages. Each store is served twice:
+// with no budget (one batch) and with a one-byte budget, which leaves
+// room for the largest shard only and so cuts the most batches.
+TEST_P(ShardProperty, WindowLimitedRacesIdenticalAcrossShardAndWorkerCounts) {
+  fixtures::ThreadCountGuard guard;
+  const std::uint64_t seed = GetParam();
+  util::set_analysis_threads(1);
+  const cpg::Graph source = fixtures::random_history(seed);
+  const std::span<const std::uint64_t> pages = source.pages();
+  ASSERT_GE(pages.size(), 8u);
+  QueryEngine memory(std::make_shared<const cpg::Graph>(source));
+  // Ignored pages lie on both sides of every window.
+  const std::size_t lo = pages.size() / 4;
+  const std::size_t k_max = pages.size() - lo - 1;
+  std::vector<std::uint64_t> c(k_max + 1, 0);
+  for (std::size_t j = 1; j <= k_max; ++j) {
+    const auto full = memory.run(window_races(pages, lo, j, 0));
+    ASSERT_TRUE(full.ok());
+    c[j] = full->total_items;
+  }
+  // Window lengths in [from, to] whose last page adds pairs, ascending.
+  const auto growth = [&](std::size_t from, std::size_t to) {
+    std::vector<std::size_t> out;
+    for (std::size_t j = std::max<std::size_t>(from, 1); j <= to; ++j) {
+      if (c[j] > c[j - 1]) out.push_back(j);
+    }
+    return out;
+  };
+
+  std::size_t straddled = 0;
+  std::size_t reached_on_last_page = 0;
+  for (const std::uint32_t shards : {1u, 2u, 7u}) {
+    for (const unsigned workers : {1u, 8u}) {
+      util::set_analysis_threads(workers);
+      for (const auto codec :
+           {shard::ShardCodec::kRaw, shard::ShardCodec::kLz}) {
+        const std::string dir =
+            store_dir(seed, shards, workers) + "_window" +
+            (codec == shard::ShardCodec::kLz ? "_lz" : "");
+        const auto manifest = shard::write_store(
+            source, dir, shard::PlanOptions{shards}, codec);
+        ASSERT_TRUE(manifest.ok()) << manifest.status().message();
+        for (const std::uint64_t budget : {0ull, 1ull}) {
+          shard::StoreOptions options;
+          options.memory_budget_bytes = budget;
+          auto store = shard::ShardStore::open(dir, options);
+          ASSERT_TRUE(store.ok()) << store.status().message();
+          shard::ShardedQueryEngine engine(std::move(store).value(),
+                                           EngineOptions{0});
+          const std::size_t batch = shard::race_batch_pages(*manifest, budget);
+          const std::size_t one = std::min(batch, k_max);
+          std::vector<std::pair<std::string, RacesQuery>> cases;
+          // The limit is reached on the window's last page, with
+          // ignored pages after it: the scan stops there, truncated.
+          if (const auto g = growth(1, one); !g.empty()) {
+            cases.emplace_back("last page",
+                               window_races(pages, lo, g.back(), c[g.back()]));
+            ++reached_on_last_page;
+          }
+          // The limit is reached mid-window.
+          if (const auto g = growth(1, one - 1); !g.empty()) {
+            cases.emplace_back(
+                "mid-window", window_races(pages, lo, one, c[g[g.size() / 2]]));
+          }
+          // The limit is never reached.
+          cases.emplace_back("unreached",
+                             window_races(pages, lo, one, c[one] + 1));
+          // The window straddles a batch boundary: the limit is
+          // reached in the second batch, or not at all.
+          if (batch < k_max) {
+            const std::size_t k = std::min(k_max, batch + (batch + 1) / 2);
+            if (const auto g = growth(batch + 1, k); !g.empty()) {
+              cases.emplace_back("straddle, reached",
+                                 window_races(pages, lo, k, c[g.front()]));
+            }
+            cases.emplace_back("straddle, unreached",
+                               window_races(pages, lo, k, c[k] + 1));
+            ++straddled;
+          }
+          for (const auto& [name, q] : cases) {
+            EXPECT_EQ(wire::serialize_reply(1, engine.run(q)),
+                      wire::serialize_reply(1, memory.run(q)))
+                << name << " (limit " << q.limit << "): seed " << seed
+                << ", " << shards << " shard(s), " << workers
+                << " worker(s), budget " << budget << ", batch " << batch
+                << ", codec "
+                << (codec == shard::ShardCodec::kLz ? "lz" : "raw");
+          }
+        }
+      }
+    }
+  }
+  RecordProperty("straddled", std::to_string(straddled));
+  RecordProperty("reached_on_last_page", std::to_string(reached_on_last_page));
+  EXPECT_GT(straddled, 0u);
+  EXPECT_GT(reached_on_last_page, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomHistories, ShardProperty,

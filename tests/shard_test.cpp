@@ -1,19 +1,22 @@
 // Unit tests for the sharded store: format round-trips (raw and
 // LZ-compressed payloads), versioned header errors, corrupt-payload
 // typed statuses, planner invariants, incremental append, and the
-// store's decoded-byte LRU budget with honest pinned accounting, the
-// rank-fence checks, and how many shards the sharded engine loads.
+// store's decoded-byte LRU budget with honest pinned accounting, its
+// resident-first visit order, the rank-fence checks, and how many
+// shards the sharded engine loads and keeps resident.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <random>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -445,6 +448,70 @@ TEST(ShardStore, UnlimitedBudgetNeverEvicts) {
   EXPECT_EQ(stats.pinned_bytes, 0u);
 }
 
+TEST(ShardStore, VisitOrderPutsCachedShardsFirst) {
+  const cpg::Graph graph = fixtures::dense_history(6);
+  const std::string dir = temp_store("visit_order");
+  ASSERT_TRUE(shard::write_store(graph, dir, shard::PlanOptions{5}).ok());
+  auto opened = shard::ShardStore::open(dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const auto store = opened.value();
+  EXPECT_EQ(store->visit_order(), (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
+  ASSERT_TRUE(store->load(3).ok());
+  ASSERT_TRUE(store->load(1).ok());
+  // Most recently used first, then the uncached shards ascending.
+  EXPECT_EQ(store->visit_order(), (std::vector<std::uint32_t>{1, 3, 0, 2, 4}));
+}
+
+TEST(ShardStore, VisitOrderIsAPermutationWhileShardsChurn) {
+  // Loaders churn a one-shard cache (every miss evicts) while another
+  // thread keeps asking for the visit order: each answer must list
+  // every shard exactly once. An order assembled from two residency
+  // reads could list a shard evicted in between twice, or a shard
+  // loaded in between never.
+  const cpg::Graph graph = fixtures::dense_history(7);
+  const std::string dir = temp_store("visit_order_churn");
+  constexpr std::uint32_t kShards = 6;
+  const auto manifest =
+      shard::write_store(graph, dir, shard::PlanOptions{kShards});
+  ASSERT_TRUE(manifest.ok()) << manifest.status().message();
+  shard::StoreOptions options;
+  options.memory_budget_bytes = 1;
+  auto opened = shard::ShardStore::open(dir, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const auto store = opened.value();
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> loaders;
+  for (int t = 0; t < 2; ++t) {
+    loaders.emplace_back([&, t] {
+      std::mt19937 rng(static_cast<std::uint32_t>(t));
+      for (int i = 0; i < 300; ++i) {
+        if (!store->load(static_cast<std::uint32_t>(rng() % kShards)).ok()) {
+          ++failures;
+        }
+      }
+    });
+  }
+  std::size_t orders = 0;
+  std::thread reader([&] {
+    std::vector<std::uint32_t> want(kShards);
+    for (std::uint32_t s = 0; s < kShards; ++s) want[s] = s;
+    while (!done.load()) {
+      std::vector<std::uint32_t> order = store->visit_order();
+      std::sort(order.begin(), order.end());
+      if (order != want) ++failures;
+      ++orders;
+    }
+  });
+  for (std::thread& loader : loaders) loader.join();
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(orders, 0u);
+  EXPECT_GT(store->stats().evictions, 0u);
+}
+
 /// Rewrite a store's manifest in place (the commit path every writer
 /// uses, so the manifest's own checksum stays valid).
 void rewrite_manifest(const std::string& dir, const shard::Manifest& m) {
@@ -843,33 +910,32 @@ TEST(ShardedEngine, PointQueriesLoadOnlyFenceEligibleShards) {
   EXPECT_GT(pruned, 0u);
 }
 
-TEST(ShardedEngine, PageLocalRequestsLoadFewShardsOnTheServedHistory) {
-  // The benchmark's served history (perfbench/src/history.h, seed 1,
-  // 7968 nodes), sharded the way the benchmark shards it -- an 8-shard
-  // store of an 80% rank prefix, then appended, 10 shards in all -- and
-  // served out of core at a quarter of its decoded size with the
-  // result cache off. The benchmark compresses its shards; this store
-  // is raw, which decodes faster and loads the same shards, because
-  // the budget is charged in decoded bytes. 1200 requests of its uniform page-local mix
-  // must average at most 5 shard loads each, with every reply
-  // byte-identical to the in-memory engine's. They averaged 7.69 when
-  // gathers opened every page-fenced shard and the cache evicted
-  // pinned shards; they average 4.95 now, and the running mean stays
-  // near 5 over the whole stream, so the bound is tight by design:
-  // it fails if either mechanism stops working.
-  fixtures::ThreadCountGuard threads;
-  util::set_analysis_threads(1);
+/// The benchmark's served history (perfbench/src/history.h, seed 1,
+/// 7968 nodes), sharded the way the benchmark shards it -- an 8-shard
+/// store of an 80% rank prefix, then appended, 10 shards in all -- and
+/// opened at a quarter of its decoded size. The benchmark compresses
+/// its shards; this store is raw, which decodes faster and loads the
+/// same shards, because the budget is charged in decoded bytes.
+struct ServedHistory {
+  std::shared_ptr<const cpg::Graph> graph;
+  std::shared_ptr<shard::ShardStore> store;
+  std::uint64_t budget = 0;
+  std::uint64_t largest_shard = 0;
+};
+
+void serve_history(const std::string& name, ServedHistory& out) {
   const perfbench::History history = perfbench::generate_history(8000, 1);
   cpg::Recorder recorder;
   perfbench::replay(history, recorder);
-  const auto graph =
+  out.graph =
       std::make_shared<const cpg::Graph>(std::move(recorder).finalize());
-  const std::string dir = temp_store("served");
+  const std::string dir = temp_store(name);
   const auto prefix = shard::rank_prefix(
-      *graph, static_cast<std::uint32_t>(graph->nodes().size() * 8 / 10));
+      *out.graph,
+      static_cast<std::uint32_t>(out.graph->nodes().size() * 8 / 10));
   ASSERT_TRUE(prefix.ok()) << prefix.status().message();
   ASSERT_TRUE(shard::write_store(*prefix, dir, shard::PlanOptions{8}).ok());
-  ASSERT_TRUE(shard::append(dir, *graph).ok());
+  ASSERT_TRUE(shard::append(dir, *out.graph).ok());
   auto unlimited = shard::ShardStore::open(dir);
   ASSERT_TRUE(unlimited.ok()) << unlimited.status().message();
   shard::StoreOptions options;
@@ -877,7 +943,28 @@ TEST(ShardedEngine, PageLocalRequestsLoadFewShardsOnTheServedHistory) {
       unlimited.value()->stats().total_decoded_bytes / 4;
   auto opened = shard::ShardStore::open(dir, options);
   ASSERT_TRUE(opened.ok()) << opened.status().message();
-  const auto store = opened.value();
+  out.store = opened.value();
+  out.budget = options.memory_budget_bytes;
+  for (const shard::ShardInfo& info : out.store->manifest().shards) {
+    out.largest_shard = std::max(out.largest_shard, info.decoded_bytes);
+  }
+}
+
+TEST(ShardedEngine, PageLocalRequestsLoadFewShardsOnTheServedHistory) {
+  // The served history out of core with the result cache off. 1200
+  // requests of its uniform page-local mix must average at most 4.8
+  // shard loads each, with every reply byte-identical to the
+  // in-memory engine's. They averaged 7.69 when gathers opened every
+  // page-fenced shard and the cache evicted pinned shards, 4.95 with
+  // rank fences and pin-aware eviction, and 4.67 now that gathers
+  // visit cached shards first (page_accessors 8.9 -> 8.0). The bound
+  // is tight by design: it fails if any of the three stops working.
+  fixtures::ThreadCountGuard threads;
+  util::set_analysis_threads(1);
+  ServedHistory served;
+  ASSERT_NO_FATAL_FAILURE(serve_history("served", served));
+  const auto& graph = served.graph;
+  const auto& store = served.store;
   shard::ShardedQueryEngine sharded(store, query::EngineOptions{0});
   query::QueryEngine memory(graph, query::EngineOptions{0});
 
@@ -909,7 +996,98 @@ TEST(ShardedEngine, PageLocalRequestsLoadFewShardsOnTheServedHistory) {
                                 static_cast<double>(tally.second));
   }
   RecordProperty("mean_loads_per_request", std::to_string(mean));
-  EXPECT_LE(mean, 5.0) << "per kind:" << breakdown;
+  RecordProperty("loads_per_kind", breakdown);
+  EXPECT_LE(mean, 4.8) << "per kind:" << breakdown;
+}
+
+TEST(ShardedEngine, WindowRacesLoadEachEligibleShardOnceOnTheServedHistory) {
+  // The benchmark's page-scoped races (8-page windows, limit 32) on
+  // the served history out of core with the result cache off. A
+  // window is one batch of the shard-major gather, so a request loads
+  // each shard whose page fence meets the window at most once, and
+  // pins one shard at a time: the honest peak never outgrows the
+  // budget. Gathering page by page, with every page's owning shards
+  // pinned together, loaded about 61 shards per request.
+  fixtures::ThreadCountGuard threads;
+  util::set_analysis_threads(1);
+  ServedHistory served;
+  ASSERT_NO_FATAL_FAILURE(serve_history("served_races", served));
+  const auto& store = served.store;
+  const shard::Manifest& m = store->manifest();
+  shard::ShardedQueryEngine sharded(store, query::EngineOptions{0});
+  query::QueryEngine memory(served.graph, query::EngineOptions{0});
+
+  perfbench::RequestGenerator requests(
+      served.graph->nodes().size(), served.graph->pages(),
+      {.zipf_anchors = false, .scan_one_in = 1, .slices = false}, 1);
+  constexpr std::uint64_t kRaces = 24;
+  std::uint64_t races = 0;
+  std::uint64_t loads = 0;
+  for (std::uint64_t id = 1; races < kRaces; ++id) {
+    const perfbench::Request r = requests.next(id);
+    if (std::string_view(r.kind) != "races") continue;
+    ++races;
+    const auto parsed = query::wire::parse_request(r.line);
+    ASSERT_TRUE(parsed.ok()) << r.line;
+    const auto& q = std::get<query::Query>(parsed->op);
+    const auto& ignored = std::get<query::RacesQuery>(q).ignored_pages;
+    std::vector<std::uint64_t> window;
+    std::set_difference(m.pages.begin(), m.pages.end(), ignored.begin(),
+                        ignored.end(), std::back_inserter(window));
+    ASSERT_LE(window.size(),
+              shard::race_batch_pages(m, store->memory_budget_bytes()));
+    std::uint64_t eligible = 0;
+    for (const shard::ShardInfo& info : m.shards) {
+      const bool meets = std::any_of(
+          window.begin(), window.end(), [&](std::uint64_t page) {
+            return info.min_page != shard::kNoPage && page >= info.min_page &&
+                   page <= info.max_page;
+          });
+      if (meets) ++eligible;
+    }
+    const std::uint64_t before = store->stats().loads;
+    const std::string reply = query::wire::serialize_reply(id, sharded.run(q));
+    const std::uint64_t used = store->stats().loads - before;
+    ASSERT_EQ(reply, query::wire::serialize_reply(id, memory.run(q))) << r.line;
+    EXPECT_LE(used, eligible) << r.line;
+    loads += used;
+  }
+  RecordProperty("mean_loads_per_request",
+                 std::to_string(static_cast<double>(loads) /
+                                static_cast<double>(kRaces)));
+  RecordProperty("peak_resident_bytes",
+                 std::to_string(store->stats().peak_resident_bytes));
+  EXPECT_LE(store->stats().peak_resident_bytes,
+            std::max(served.budget, served.largest_shard));
+}
+
+TEST(ShardedEngine, UnlimitedRacesStayWithinTheBudgetOnTheServedHistory) {
+  // A whole-universe races scan out of core: batches of a quarter of
+  // the pages, each loading every fence-eligible shard at most once,
+  // one shard pinned at a time. The honest peak stays within
+  // max(budget, largest shard); page-by-page gathers pinned a page's
+  // owning shards together and peaked above it.
+  fixtures::ThreadCountGuard threads;
+  util::set_analysis_threads(2);
+  ServedHistory served;
+  ASSERT_NO_FATAL_FAILURE(serve_history("served_full_races", served));
+  const auto& store = served.store;
+  const shard::Manifest& m = store->manifest();
+  shard::ShardedQueryEngine sharded(store, query::EngineOptions{0});
+  query::QueryEngine memory(served.graph, query::EngineOptions{0});
+  const query::Query q = query::RacesQuery{};
+  EXPECT_EQ(query::wire::serialize_reply(1, sharded.run(q)),
+            query::wire::serialize_reply(1, memory.run(q)));
+  const std::size_t per_batch =
+      shard::race_batch_pages(m, store->memory_budget_bytes());
+  const std::size_t batches = (m.pages.size() + per_batch - 1) / per_batch;
+  const auto stats = store->stats();
+  RecordProperty("loads", std::to_string(stats.loads));
+  RecordProperty("peak_resident_bytes",
+                 std::to_string(stats.peak_resident_bytes));
+  EXPECT_LE(stats.loads, batches * m.shard_count);
+  EXPECT_LE(stats.peak_resident_bytes,
+            std::max(served.budget, served.largest_shard));
 }
 
 }  // namespace
