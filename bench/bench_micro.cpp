@@ -33,6 +33,7 @@
 #include "ptsim/flow.h"
 #include "ptsim/sink.h"
 #include "snapshot/compress.h"
+#include "synthetic_history.h"
 #include "vclock/vector_clock.h"
 
 namespace {
@@ -161,43 +162,9 @@ void BM_RecorderSubcomputation(benchmark::State& state) {
 BENCHMARK(BM_RecorderSubcomputation);
 
 // --- CPG query benchmarks on a synthetic many-thread/many-page graph ----
-//
-// Barrier-round structure: `threads` workers run `rounds` rounds; each
-// round every worker writes its own page slice and reads a neighbour's
-// slice from the previous round, then all cross a barrier. This yields
-// a wide graph (threads x rounds nodes) with rich cross-thread dataflow
-// -- the shape the indexed queries (per-page lookups instead of
-// all-node scans) are built for.
-cpg::Graph synthetic_cpg(std::uint32_t threads, std::uint32_t rounds,
-                         std::uint64_t pages_per_node) {
-  using inspector::sync::SyncEventKind;
-  const auto barrier = inspector::sync::make_object_id(
-      inspector::sync::ObjectKind::kBarrier, 1);
-  cpg::Recorder rec;
-  for (std::uint32_t t = 0; t < threads; ++t) rec.thread_started(t, t);
-  for (std::uint32_t r = 0; r < rounds; ++r) {
-    for (std::uint32_t t = 0; t < threads; ++t) {
-      PageSet reads;
-      PageSet writes;
-      const std::uint32_t neighbour = (t + 1) % threads;
-      for (std::uint64_t p = 0; p < pages_per_node; ++p) {
-        writes.push_back((static_cast<std::uint64_t>(t) * pages_per_node + p) %
-                         (threads * pages_per_node));
-        reads.push_back(
-            (static_cast<std::uint64_t>(neighbour) * pages_per_node + p) %
-            (threads * pages_per_node));
-      }
-      std::sort(reads.begin(), reads.end());
-      std::sort(writes.begin(), writes.end());
-      rec.end_subcomputation(t, std::move(reads), std::move(writes),
-                             {SyncEventKind::kBarrierWait, barrier});
-      rec.on_release(t, barrier);
-    }
-    for (std::uint32_t t = 0; t < threads; ++t) rec.on_acquire(t, barrier);
-  }
-  for (std::uint32_t t = 0; t < threads; ++t) rec.thread_exiting(t, {}, {});
-  return std::move(rec).finalize();
-}
+// (bench/synthetic_history.h).
+
+using bench::synthetic_cpg;
 
 void BM_CpgBuildIndices(benchmark::State& state) {
   const auto threads = static_cast<std::uint32_t>(state.range(0));

@@ -28,13 +28,13 @@
 #include <vector>
 
 #include "bench_json.h"
-#include "cpg/recorder.h"
 #include "query/engine.h"
 #include "query/wire.h"
 #include "shard/engine.h"
 #include "shard/planner.h"
 #include "shard/store.h"
 #include "snapshot/compress.h"
+#include "synthetic_history.h"
 #include "util/parallel.h"
 
 namespace {
@@ -42,36 +42,7 @@ namespace {
 using namespace inspector;
 using Clock = std::chrono::steady_clock;
 
-/// Barrier-round synthetic CPG (the bench_query_throughput shape).
-cpg::Graph synthetic_cpg(std::uint32_t threads, std::uint32_t rounds,
-                         std::uint64_t pages_per_node) {
-  using sync::SyncEventKind;
-  const auto barrier = sync::make_object_id(sync::ObjectKind::kBarrier, 1);
-  cpg::Recorder rec;
-  for (std::uint32_t t = 0; t < threads; ++t) rec.thread_started(t, t);
-  for (std::uint32_t r = 0; r < rounds; ++r) {
-    for (std::uint32_t t = 0; t < threads; ++t) {
-      PageSet reads;
-      PageSet writes;
-      const std::uint32_t neighbour = (t + 1) % threads;
-      for (std::uint64_t p = 0; p < pages_per_node; ++p) {
-        writes.push_back((static_cast<std::uint64_t>(t) * pages_per_node + p) %
-                         (threads * pages_per_node));
-        reads.push_back(
-            (static_cast<std::uint64_t>(neighbour) * pages_per_node + p) %
-            (threads * pages_per_node));
-      }
-      std::sort(reads.begin(), reads.end());
-      std::sort(writes.begin(), writes.end());
-      rec.end_subcomputation(t, std::move(reads), std::move(writes),
-                             {SyncEventKind::kBarrierWait, barrier});
-      rec.on_release(t, barrier);
-    }
-    for (std::uint32_t t = 0; t < threads; ++t) rec.on_acquire(t, barrier);
-  }
-  for (std::uint32_t t = 0; t < threads; ++t) rec.thread_exiting(t, {}, {});
-  return std::move(rec).finalize();
-}
+using bench::synthetic_cpg;
 
 std::uint64_t fnv1a(std::uint64_t h, const std::string& bytes) {
   for (const char c : bytes) {

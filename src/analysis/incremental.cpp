@@ -1,22 +1,16 @@
 #include "analysis/incremental.h"
 
-#include <algorithm>
-
-#include "analysis/propagation.h"
+#include "analysis/graph_view.h"
 
 namespace inspector::analysis {
-
-bool InvalidationResult::node_dirty(cpg::NodeId id) const {
-  return std::binary_search(dirty.begin(), dirty.end(), id);
-}
 
 InvalidationResult invalidate(const cpg::Graph& graph,
                               const PageSet& changed_input_pages) {
   // Register carry-over is always on: once a thread consumed changed
   // data, everything it does afterwards may differ (same soundness
   // argument as DIFT's carry-over).
-  Propagation p =
-      propagate_pages(graph, changed_input_pages, /*thread_carryover=*/true);
+  Propagation p = kernels::propagate(GraphView(graph), changed_input_pages,
+                                     /*thread_carryover=*/true);
   InvalidationResult result;
   result.dirty_pages = std::move(p.pages);
   result.dirty = std::move(p.nodes);

@@ -24,8 +24,6 @@ struct InvalidationResult {
   /// duplicate-free.
   PageSet dirty_pages;
 
-  [[nodiscard]] bool node_dirty(cpg::NodeId id) const;
-
   /// Fraction of the graph that can be reused (the incremental win).
   [[nodiscard]] double reuse_fraction(std::size_t total_nodes) const {
     if (total_nodes == 0) return 0.0;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "analysis/propagation.h"
+#include "analysis/graph_view.h"
 
 namespace inspector::analysis {
 
@@ -13,8 +13,8 @@ bool TaintResult::node_tainted(cpg::NodeId id) const {
 TaintResult propagate_taint(const cpg::Graph& graph,
                             const PageSet& seed_pages,
                             const TaintOptions& options) {
-  Propagation p =
-      propagate_pages(graph, seed_pages, options.track_register_carryover);
+  Propagation p = kernels::propagate(GraphView(graph), seed_pages,
+                                     options.track_register_carryover);
   TaintResult result;
   result.tainted_pages = std::move(p.pages);
   result.tainted_nodes = std::move(p.nodes);
@@ -24,13 +24,8 @@ TaintResult propagate_taint(const cpg::Graph& graph,
 std::vector<cpg::NodeId> tainted_sinks(const cpg::Graph& graph,
                                        const TaintResult& taint,
                                        sync::SyncEventKind sink_kind) {
-  std::vector<cpg::NodeId> sinks;
-  for (const auto& node : graph.nodes()) {
-    if (node.end.kind == sink_kind && taint.node_tainted(node.id)) {
-      sinks.push_back(node.id);
-    }
-  }
-  return sinks;
+  return kernels::marked_sinks(GraphView(graph), taint.tainted_nodes,
+                               sink_kind);
 }
 
 }  // namespace inspector::analysis

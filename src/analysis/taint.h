@@ -27,7 +27,7 @@ struct TaintResult {
   /// All pages tainted after propagation (includes the seeds).
   /// Sorted and duplicate-free.
   PageSet tainted_pages;
-  /// Tainted sub-computations, in topological order.
+  /// Tainted sub-computations, ascending id.
   std::vector<cpg::NodeId> tainted_nodes;
 
   [[nodiscard]] bool node_tainted(cpg::NodeId id) const;
@@ -43,7 +43,9 @@ struct TaintResult {
                                           const TaintOptions& options = {});
 
 /// Policy check: sub-computations that end in `sink_kind` (e.g. thread
-/// exit standing for an output syscall) and are tainted.
+/// exit standing for an output syscall) and are tainted, ascending id.
+/// Walks the topological order, so like propagate_taint it needs an
+/// acyclic graph.
 [[nodiscard]] std::vector<cpg::NodeId> tainted_sinks(
     const cpg::Graph& graph, const TaintResult& taint,
     sync::SyncEventKind sink_kind);

@@ -35,6 +35,23 @@ struct GraphStats {
   bool operator==(const GraphStats&) const = default;
 };
 
+/// The happens-before check on resolved payloads, given each node's
+/// hb-rank (see Graph::rank()). Fast reject first: rank embeds
+/// happens-before (clock dominance strictly grows the weight rank sorts
+/// by, and alpha breaks ties within a thread), so rank_a >= rank_b rules
+/// out a-hb-b without touching the clocks -- half of all random probes
+/// and every self/descendant probe exit here. Then same-thread alpha
+/// order, then the vector-clock compare. Graph::happens_before and the
+/// provenance kernels (analysis/kernels.h) all run this one body.
+[[nodiscard]] inline bool happens_before(std::uint32_t rank_a,
+                                         const SubComputation& a,
+                                         std::uint32_t rank_b,
+                                         const SubComputation& b) {
+  if (rank_a >= rank_b) return false;
+  if (a.thread == b.thread) return a.alpha < b.alpha;
+  return a.clock.happens_before(b.clock);
+}
+
 class Graph {
  public:
   Graph() = default;
@@ -101,8 +118,16 @@ class Graph {
   /// implies rank(a) < rank(b). Derived from vector-clock weight, so it
   /// holds even for hb pairs with no recorded edge path.
   [[nodiscard]] std::uint32_t rank(NodeId id) const { return rank_.at(id); }
+  /// rank() for every node, indexed by id.
+  [[nodiscard]] std::span<const std::uint32_t> ranks() const noexcept {
+    return rank_;
+  }
 
   // --- data-dependence queries (§IV-A III) -----------------------------
+  // These and the slices forward to the provenance kernels
+  // (analysis/kernels.h) over this graph's index; they throw
+  // std::out_of_range for an unknown node id.
+
   /// All update-use (read-after-write) dependencies of `reader`: edges
   /// from every sub-computation that happens-before `reader` and whose
   /// write set intersects `reader`'s read set.
@@ -111,8 +136,6 @@ class Graph {
   /// For each page `reader` reads, the *latest* writer under
   /// happens-before (the writer no other happens-before writer of the
   /// same page succeeds). This is the dataflow a slicing query follows.
-  /// Answered by a per-page backward walk over the rank-sorted writer
-  /// list, not a scan of all nodes.
   [[nodiscard]] std::vector<Edge> latest_writers(NodeId reader) const;
 
   /// All nodes that wrote `page`, in rank order (index lookup).
@@ -136,6 +159,9 @@ class Graph {
   /// has a cycle (which would indicate a recorder bug -- the CPG is a
   /// DAG by construction).
   [[nodiscard]] std::span<const NodeId> topological_view() const;
+  /// True when the recorded edges form a cycle (topological_view(),
+  /// level_count() and level_nodes() then throw).
+  [[nodiscard]] bool has_cycle() const noexcept { return has_cycle_; }
 
   // --- topological levels ----------------------------------------------
   /// The cached order is grouped into levels: level k holds the nodes

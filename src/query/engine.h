@@ -50,10 +50,11 @@ struct Execution {
 /// backend-independent -- canonicalization, the result cache, sessions,
 /// cursors, pagination, batched fan-out -- and delegates the actual
 /// analysis to a backend: the in-memory graph (GraphQueryBackend) or
-/// the out-of-core sharded store (shard::ShardBackend). Backends must
-/// return the exact same QueryResult payloads and Status messages for
-/// the same graph, so a reply stream never reveals which backend
-/// served it.
+/// the out-of-core sharded store (shard::ShardBackend). Both run
+/// query::run_query (query/run_query.h) over their model of the
+/// provenance view, so they return the exact same QueryResult payloads
+/// and Status messages for the same graph, and a reply stream never
+/// reveals which backend served it.
 class QueryBackend {
  public:
   virtual ~QueryBackend() = default;
@@ -66,7 +67,7 @@ class QueryBackend {
 };
 
 /// The classic backend: every query answered from one immutable
-/// in-memory cpg::Graph snapshot.
+/// in-memory cpg::Graph snapshot through analysis::GraphView.
 class GraphQueryBackend final : public QueryBackend {
  public:
   explicit GraphQueryBackend(std::shared_ptr<const cpg::Graph> graph);
@@ -79,18 +80,10 @@ class GraphQueryBackend final : public QueryBackend {
   }
 
  private:
-  [[nodiscard]] Result<QueryResult> run_query(const Query& q) const;
-
   std::shared_ptr<const cpg::Graph> graph_;
-  bool cyclic_ = false;  ///< detected once at construction
 };
 
 namespace detail {
-/// Shared error constructors: every backend must produce these exact
-/// messages so replies are backend-independent byte for byte.
-[[nodiscard]] Status node_range_error(cpg::NodeId id, std::size_t count);
-[[nodiscard]] Status untouched_page_error(std::uint64_t page);
-[[nodiscard]] Status cyclic_error(const char* what);
 /// Cursor lifecycle errors, shared with the serving router: when the
 /// router rewrites a worker-local cursor id into its own id space it
 /// must synthesize the exact bytes the engine would have produced.

@@ -2,35 +2,29 @@
 //
 // ShardBackend implements query::QueryBackend over a ShardStore, and
 // ShardedQueryEngine is a query::QueryEngine wired to one -- sessions,
-// cursors, caching, pagination, and batched fan-out are all inherited,
-// so a reply stream (cursor page boundaries included) is bit-identical
-// to the unsharded engine on the same history at every shard count and
-// every worker count. Dispatch by query shape:
+// cursors, caching, pagination, and batched fan-out are all inherited.
+// The backend runs the same query::run_query and the same provenance
+// kernels (analysis/kernels.h) as the in-memory backend, over the
+// shard model of the kernels' view, so a reply stream (cursor page
+// boundaries included) is bit-identical to the unsharded engine on the
+// same history at every shard count and every worker count. The model
+// decides only how data streams in:
 //
-//   - page-local queries (latest_writers, data_dependencies,
-//     page_accessors, happens_before) route to the owning shards via
-//     the manifest fences and merge per-shard inverted-index buckets
-//     in global hb-rank order. Gathers are rank-fenced: a reader's
-//     writers can only rank below it, so shards whose rank fence lies
-//     wholly above the reader are never opened;
-//   - traversal queries (slices) run breadth-first waves whose
-//     frontier sets cross shards through the stored edge frontier
-//     (forward_slice gathers only readers ranked above the node);
-//   - flow queries (taint, invalidate) run the same level-synchronous
-//     fixpoint as analysis/propagation.cpp over the *global*
-//     topological levels, scanning each level's resident shards
-//     chunk-parallel on the shared util::TaskPool;
-//   - races gather shard-major: the scan pages split into batches
-//     (race_batch_pages), and each batch visits every shard whose page
-//     fence meets it once, copying out the batch's accessors before
-//     the next shard loads -- residency is one shard plus the batch's
-//     copies. Pages then scan in global order (parallel when
-//     unlimited, with the same commutative min-merge as
-//     analysis/races.cpp);
-//   - critical path is one forward pass over the shards in rank order
-//     (rank ranges are topological sections, so dependence values only
-//     flow to later shards);
-//   - stats answers straight from the manifest.
+//   - page buckets merge per-shard inverted-index buckets in global
+//     hb-rank order, opening only the shards whose page fence covers
+//     the page and whose rank fence meets the caller's rank window (a
+//     reader's writers all rank below it);
+//   - neighbour walks merge intra-shard edges with the stored
+//     cross-shard frontier in global edge order;
+//   - levels visit the shards whose level fence covers the level, and
+//     each shard is one topological section (rank ranges are
+//     topological sections, so dependence values only flow to later
+//     shards);
+//   - race scans gather shard-major: the scan pages split into runs
+//     (race_batch_pages), and each run visits every shard whose page
+//     fence meets it once, copying out the run's accessors before the
+//     next shard loads -- residency is one shard plus the run's copies;
+//   - stats answer straight from the manifest.
 #pragma once
 
 #include <cstddef>

@@ -9,7 +9,9 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -46,26 +48,16 @@ std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + name;
 }
 
-/// The same paginated query batch shard_compat_test compares across
-/// format versions -- here it pins reply bytes across crash points.
-std::string serialized_session(QueryEngine& engine, cpg::NodeId last,
-                               std::uint64_t first_page) {
-  const auto paged = [](Query q, std::uint64_t page_size) {
-    QueryOptions options;
-    options.page_size = page_size;
-    return QueryEngine::BatchItem{std::move(q), options};
-  };
-  const std::vector<QueryEngine::BatchItem> items = {
-      paged(BackwardSliceQuery{last}, 7),
-      paged(ForwardSliceQuery{0}, 5),
-      paged(RacesQuery{}, 13),
-      paged(TaintQuery{{0, 3, 7}, true}, 9),
-      paged(CriticalPathQuery{}, 6),
-      {StatsQuery{}, {}},
-      {HappensBeforeQuery{0, last}, {}},
-      paged(PageAccessorsQuery{first_page}, 4),
-      paged(LatestWritersQuery{last}, 3),
-  };
+QueryEngine::BatchItem paged(Query q, std::uint64_t page_size) {
+  QueryOptions options;
+  options.page_size = page_size;
+  return QueryEngine::BatchItem{std::move(q), options};
+}
+
+/// One batch's wire replies, followed by every cursor drained in
+/// issue order: the whole reply stream a client of the batch sees.
+std::string serialized_batch(QueryEngine& engine,
+                             const std::vector<QueryEngine::BatchItem>& items) {
   const auto replies = engine.run_batch(QueryEngine::kDefaultSession, items);
 
   std::string out;
@@ -85,6 +77,24 @@ std::string serialized_session(QueryEngine& engine, cpg::NodeId last,
     }
   }
   return out;
+}
+
+/// The same paginated query batch shard_compat_test compares across
+/// format versions -- here it pins reply bytes across crash points.
+std::string serialized_session(QueryEngine& engine, cpg::NodeId last,
+                               std::uint64_t first_page) {
+  return serialized_batch(
+      engine, {
+                  paged(BackwardSliceQuery{last}, 7),
+                  paged(ForwardSliceQuery{0}, 5),
+                  paged(RacesQuery{}, 13),
+                  paged(TaintQuery{{0, 3, 7}, true}, 9),
+                  paged(CriticalPathQuery{}, 6),
+                  {StatsQuery{}, {}},
+                  {HappensBeforeQuery{0, last}, {}},
+                  paged(PageAccessorsQuery{first_page}, 4),
+                  paged(LatestWritersQuery{last}, 3),
+              });
 }
 
 std::string serve_store(const std::string& dir, cpg::NodeId last,
@@ -301,6 +311,88 @@ TEST(FailpointStore, DegradedModeServesPartialAnswers) {
   EXPECT_EQ(one_query(true), untouched);
   EXPECT_NE(untouched.find("\"status\":\"ok\""), std::string::npos);
   EXPECT_EQ(untouched.find("\"degraded\""), std::string::npos);
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+/// Compare a reply stream with its checked-in golden. On a mismatch
+/// the actual bytes land next to the test's temp files, so the diff
+/// is one `diff` away.
+void expect_golden(const std::string& actual, const std::string& name) {
+  const std::string golden = read_text(std::string(INSPECTOR_TEST_DATA_DIR) +
+                                       "/" + name);
+  if (actual == golden) return;
+  const std::string dump = temp_path(name + ".actual");
+  std::ofstream(dump, std::ios::binary) << actual;
+  ADD_FAILURE() << "reply stream differs from tests/data/" << name
+                << "; the actual bytes are in " << dump;
+}
+
+TEST(FailpointStore, DegradedRepliesMatchTheGolden) {
+  // Which part of each partial answer a degraded reply keeps is part
+  // of the reply contract, not an accident of the backend: a seeded
+  // 3-shard store loses its *middle* shard, and one batch covering
+  // every query kind is served strict and with allow_degraded. Both
+  // reply streams are pinned byte for byte.
+  FailpointGuard guard;
+  fixtures::ThreadCountGuard threads;
+  util::set_analysis_threads(1);
+  const cpg::Graph source = fixtures::random_history(46);
+  const std::string dir = temp_path("failpoint_degraded_golden");
+  fs::remove_all(dir);
+  const auto manifest =
+      shard::write_store(source, dir, shard::PlanOptions{3});
+  ASSERT_TRUE(manifest.ok()) << manifest.status().message();
+  ASSERT_EQ(manifest->shard_count, 3u);
+  // The highest node id of each shard anchors the node-rooted queries.
+  std::vector<cpg::NodeId> anchor(3, cpg::kInvalidNode);
+  for (cpg::NodeId v = 0; v < manifest->node_shard.size(); ++v) {
+    anchor[manifest->node_shard[v]] = v;
+  }
+  ASSERT_NE(anchor[1], cpg::kInvalidNode);
+  const std::string file = dir + "/" + manifest->shards[1].file;
+  auto bytes = shard::read_file_bytes(file);
+  ASSERT_TRUE(bytes.ok());
+  bytes.value()[bytes->size() / 2] ^= 0xFF;
+  ASSERT_TRUE(shard::write_file_bytes(file, *bytes).ok());
+
+  const std::uint64_t mid_page = manifest->pages[manifest->pages.size() / 2];
+  const std::vector<QueryEngine::BatchItem> items = {
+      paged(BackwardSliceQuery{anchor[2]}, 7),
+      paged(ForwardSliceQuery{anchor[0]}, 5),
+      paged(LatestWritersQuery{anchor[2]}, 3),
+      paged(DataDependenciesQuery{anchor[2]}, 4),
+      {LatestWritersQuery{anchor[1]}, {}},  // anchored on the dead shard
+      paged(PageAccessorsQuery{mid_page}, 4),
+      {HappensBeforeQuery{anchor[0], anchor[2]}, {}},
+      paged(RacesQuery{}, 13),
+      paged(RacesQuery{3, {}}, 0),
+      paged(TaintQuery{{0, 3, 7}, true}, 9),
+      paged(InvalidateQuery{{1, 5}}, 8),
+      paged(CriticalPathQuery{}, 6),
+      {StatsQuery{}, {}},
+  };
+  const auto serve = [&](bool allow_degraded) {
+    auto store = shard::ShardStore::open(dir);
+    EXPECT_TRUE(store.ok()) << store.status().message();
+    shard::ShardedQueryEngine engine(std::move(store).value(),
+                                     query::EngineOptions{}, allow_degraded);
+    // Errors name the shard file; the goldens spell its directory
+    // "<store>" so they do not depend on the temp location.
+    std::string replies = serialized_batch(engine, items);
+    for (std::size_t at = replies.find(dir); at != std::string::npos;
+         at = replies.find(dir, at)) {
+      replies.replace(at, dir.size(), "<store>");
+    }
+    return replies;
+  };
+  expect_golden(serve(false), "degraded_strict_golden.jsonl");
+  expect_golden(serve(true), "degraded_allowed_golden.jsonl");
 }
 
 TEST(FailpointStore, QuarantinedShardAboveTheReaderLeavesLatestWritersIntact) {

@@ -1,13 +1,17 @@
 // Flow-decoder tests: reconstructing control flow from packets + image
-// (the libipt-style layer of §V-B).
+// (the libipt-style layer of §V-B), and the PT timestamps the flow
+// carries.
 #include <gtest/gtest.h>
 
 #include <random>
 
+#include "core/inspector.h"
 #include "ptsim/encoder.h"
 #include "ptsim/flow.h"
 #include "ptsim/image.h"
 #include "ptsim/sink.h"
+#include "workloads/common.h"
+#include "workloads/registry.h"
 
 namespace {
 
@@ -183,5 +187,57 @@ TEST_P(FlowChainTest, LongChainsRoundTripAnyPattern) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowChainTest,
                          ::testing::Values(11, 22, 33, 44));
+
+}  // namespace
+
+namespace {
+
+using namespace inspector;
+
+// --- PT timestamps ------------------------------------------------------
+
+TEST(PtTiming, TscStampedInPsbPlus) {
+  ptsim::VectorSink sink;
+  ptsim::EncoderOptions opts;
+  opts.psb_period_bytes = 64;
+  ptsim::PacketEncoder enc(sink, opts);
+  enc.set_timestamp(1000);
+  enc.on_enable(0x1000);
+  for (int i = 0; i < 2000; ++i) {
+    enc.set_timestamp(1000 + static_cast<std::uint64_t>(i) * 10);
+    enc.on_conditional(i % 2 == 0);
+  }
+  enc.flush();
+  ptsim::PacketDecoder dec(sink.data());
+  std::vector<std::uint64_t> stamps;
+  while (auto p = dec.next()) {
+    if (p->type == ptsim::PacketType::kTsc) stamps.push_back(p->payload);
+  }
+  ASSERT_GT(stamps.size(), 2u) << "periodic PSB+ must carry TSC";
+  for (std::size_t i = 1; i < stamps.size(); ++i) {
+    EXPECT_LE(stamps[i - 1], stamps[i]) << "timestamps must be monotone";
+  }
+  EXPECT_EQ(stamps.front(), 1000u);
+}
+
+TEST(PtTiming, FlowResultExposesTimestamps) {
+  workloads::WorkloadConfig config;
+  config.threads = 4;
+  config.scale = 0.2;
+  core::Inspector insp;
+  const auto result = insp.run(workloads::make_histogram(config));
+  bool any = false;
+  for (auto pid : result.perf_session->traced_pids()) {
+    const auto& trace = result.perf_session->trace_for(pid);
+    ptsim::FlowDecoder decoder(result.image->image, trace);
+    const auto flow = decoder.run();
+    if (flow.last_timestamp != 0) {
+      any = true;
+      EXPECT_LE(flow.first_timestamp, flow.last_timestamp);
+      EXPECT_LE(flow.last_timestamp, result.stats.sim_time_ns);
+    }
+  }
+  EXPECT_TRUE(any) << "executor stamps simulated time into the trace";
+}
 
 }  // namespace
