@@ -1,7 +1,8 @@
-// Ablation bench (DESIGN.md design-choice index): what each half of
-// INSPECTOR costs in isolation -- MMU tracking only (threading
-// library), Intel PT only (OS support), and the full system --
-// decomposing the fig-6 breakdown by actually disabling components.
+// Ablation bench (EXPERIMENTS.md lists it among the simulated benches):
+// what each half of INSPECTOR costs in isolation -- MMU tracking only
+// (threading library), Intel PT only (OS support), and the full
+// system -- decomposing the fig-6 breakdown by actually disabling
+// components.
 #include <iostream>
 
 #include "core/inspector.h"

@@ -210,10 +210,15 @@ int main(int argc, char** argv) {
           .emit();
       // Two budget modes: everything resident, and an out-of-core
       // budget of about half the decoded store (floored at one shard).
+      // The out-of-core batch runs on one analysis worker: with several,
+      // which shard a concurrent miss evicts depends on thread timing,
+      // so its loads and peak_resident_bytes would differ from run to
+      // run and could not be compared across commits.
       const std::uint64_t half_budget =
           std::max(max_shard, total_decoded / 2);
       int budget_mode = 0;
       for (const std::uint64_t budget : {std::uint64_t{0}, half_budget}) {
+        util::set_analysis_threads(budget == 0 ? 0 : 1);
         shard::StoreOptions options;
         options.memory_budget_bytes = budget;
         auto opened = shard::ShardStore::open(dir, options);
@@ -240,6 +245,7 @@ int main(int argc, char** argv) {
                 : 1.0;
         bench::JsonLine("shard_scaling")
             .field("mode", budget == 0 ? "resident" : "out_of_core")
+            .field("workers", util::analysis_threads())
             .field("codec", compressed ? "lz" : "raw")
             .field("nodes", source.nodes().size())
             .field("shards", shards)

@@ -364,9 +364,10 @@ inline std::vector<RaceReport> emit_reports(const PairMap& pairs,
 /// All conflicting concurrent pairs, page-major: only nodes that touched
 /// the same page are paired, so cost scales with real page sharing
 /// rather than all node pairs. The scan pages (the universe minus
-/// `ignored`, in global order) split into runs of race_batch_pages();
-/// each run's buckets are gathered once (a shard model visits each
-/// eligible shard once per run) and then scanned.
+/// `ignored`, in global order) split into runs of race_batch_pages()
+/// (a limited scan's runs start at `limit` pages and double up to
+/// it); each run's buckets are gathered once (a shard model visits
+/// each eligible shard once per run) and then scanned.
 ///
 /// With a `limit`, scanning stops once that many racy pairs exist; the
 /// caller asked for "at most N", not the globally smallest pages. The
@@ -387,9 +388,9 @@ std::vector<RaceReport> find_races(const View& view, PageSet ignored,
     }
   }
   const std::size_t per_batch = view.race_batch_pages();
-  const auto batch_at = [&](std::size_t begin) {
+  const auto batch_at = [&](std::size_t begin, std::size_t size) {
     return std::span<const PageRef>(scan).subspan(
-        begin, std::min(per_batch, scan.size() - begin));
+        begin, std::min(size, scan.size() - begin));
   };
 
   if (limit != 0) {
@@ -399,8 +400,17 @@ std::vector<RaceReport> find_races(const View& view, PageSet ignored,
     // while the run that found the pair still holds its nodes.
     PairMap whole;
     std::size_t scanned = 0;
+    // Runs start at `limit` pages -- as many pages as the caller wants
+    // pairs -- and double up to race_batch_pages(): a limit met early
+    // gathers little beyond the pages it scans (a shard model loads
+    // every shard a run's pages touch), a scan of at most `limit`
+    // pages (a page window) is still one run, and a long scan reaches
+    // full-size runs after log2 of them. Which pages are scanned, in
+    // which order, does not depend on the run sizes.
+    std::size_t run_pages = std::min(limit, per_batch);
     while (scanned < scan.size() && pairs.size() < limit) {
-      const auto pages = batch_at(scanned);
+      const auto pages = batch_at(scanned, run_pages);
+      run_pages = std::min(run_pages * 2, per_batch);
       const auto batch = view.race_batch(pages, /*page_sets=*/true);
       for (std::size_t k = 0; k < pages.size() && pairs.size() < limit;
            ++k, ++scanned) {
@@ -436,7 +446,7 @@ std::vector<RaceReport> find_races(const View& view, PageSet ignored,
   const auto pool = util::shared_pool();
   util::WorkerLocal<PairMap> local(*pool);
   for (std::size_t begin = 0; begin < scan.size(); begin += per_batch) {
-    const auto pages = batch_at(begin);
+    const auto pages = batch_at(begin, per_batch);
     const auto batch = view.race_batch(pages, /*page_sets=*/false);
     pool->parallel_for(
         0, pages.size(), 32, [&](std::size_t b, std::size_t e, unsigned w) {

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "cpg/binary_io.h"
+#include "util/page_set.h"
 
 namespace inspector::cpg {
 
@@ -14,6 +15,19 @@ using detail::ByteWriter;
 
 std::vector<std::uint8_t> serialize(const Graph& graph,
                                     std::uint32_t version) {
+  // lint: allow(format-version-discipline) writes the same bytes (ShardCompatErrors.WriterBytesArePinned)
+  return serialize_parts(graph.nodes(), graph.edges(), graph.schedule(),
+                         // lint: allow(format-version-discipline) writes the same bytes (ShardCompatErrors.WriterBytesArePinned)
+                         version);
+// lint: allow(format-version-discipline) writes the same bytes (ShardCompatErrors.WriterBytesArePinned)
+}
+
+// lint: allow(format-version-discipline) writes the same bytes (ShardCompatErrors.WriterBytesArePinned)
+std::vector<std::uint8_t> serialize_parts(
+    // lint: allow(format-version-discipline) writes the same bytes (ShardCompatErrors.WriterBytesArePinned)
+    std::span<const SubComputation> nodes, std::span<const Edge> edges,
+    // lint: allow(format-version-discipline) writes the same bytes (ShardCompatErrors.WriterBytesArePinned)
+    std::span<const sync::SyncEvent> schedule, std::uint32_t version) {
   if (version < kCpgMinReadVersion || version > kCpgFormatVersion) {
     throw detail::SerializeError("CPG serialize: cannot write format version " +
                                  std::to_string(version));
@@ -22,8 +36,10 @@ std::vector<std::uint8_t> serialize(const Graph& graph,
   std::vector<std::uint8_t> out;
   ByteWriter w(out);
   detail::write_header(w, kCpgMagic, version);
-  w.u64(graph.nodes().size());
-  for (const auto& n : graph.nodes()) {
+  // lint: allow(format-version-discipline) writes the same bytes (ShardCompatErrors.WriterBytesArePinned)
+  w.u64(nodes.size());
+  // lint: allow(format-version-discipline) writes the same bytes (ShardCompatErrors.WriterBytesArePinned)
+  for (const auto& n : nodes) {
     w.u32(n.id);
     w.u32(n.thread);
     if (varint) {
@@ -62,15 +78,19 @@ std::vector<std::uint8_t> serialize(const Graph& graph,
       w.u64(n.end_seq);
     }
   }
-  w.u64(graph.edges().size());
-  for (const auto& e : graph.edges()) {
+  // lint: allow(format-version-discipline) writes the same bytes (ShardCompatErrors.WriterBytesArePinned)
+  w.u64(edges.size());
+  // lint: allow(format-version-discipline) writes the same bytes (ShardCompatErrors.WriterBytesArePinned)
+  for (const auto& e : edges) {
     w.u32(e.from);
     w.u32(e.to);
     w.u8(static_cast<std::uint8_t>(e.kind));
     w.u64(e.object);
   }
-  w.u64(graph.schedule().size());
-  for (const auto& s : graph.schedule()) {
+  // lint: allow(format-version-discipline) writes the same bytes (ShardCompatErrors.WriterBytesArePinned)
+  w.u64(schedule.size());
+  // lint: allow(format-version-discipline) writes the same bytes (ShardCompatErrors.WriterBytesArePinned)
+  for (const auto& s : schedule) {
     w.u64(s.seq);
     w.u32(s.thread);
     w.u64(s.object);
@@ -79,7 +99,10 @@ std::vector<std::uint8_t> serialize(const Graph& graph,
   return out;
 }
 
-Result<Graph> deserialize_checked(std::span<const std::uint8_t> bytes) {
+// lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
+Result<GraphParts> deserialize_parts_checked(
+    // lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
+    std::span<const std::uint8_t> bytes) {
   try {
     ByteReader r(bytes);
     const std::uint32_t version = detail::read_header(
@@ -134,6 +157,13 @@ Result<Graph> deserialize_checked(std::span<const std::uint8_t> bytes) {
         }
         n.read_set = r.u64_vec();
         n.write_set = r.u64_vec();
+        // Stored verbatim in this generation: normalize them the way
+        // Graph construction would (monotone-coded v3 sets decode
+        // strictly ascending or not at all).
+        // lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
+        page_set_normalize(n.read_set);
+        // lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
+        page_set_normalize(n.write_set);
         thunk_count = r.counted(21, "thunk");
       }
       n.thunks.reserve(thunk_count);
@@ -167,6 +197,14 @@ Result<Graph> deserialize_checked(std::span<const std::uint8_t> bytes) {
       e.to = r.u32();
       e.kind = static_cast<EdgeKind>(r.u8());
       e.object = r.u64();
+      // Consumers index node arrays through the endpoints; the message
+      // is the one Graph construction gives.
+      // lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
+      if (e.from >= node_count || e.to >= node_count) {
+        // lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
+        throw detail::SerializeError("CPG edge references unknown node");
+      // lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
+      }
       edges.push_back(e);
     }
     const std::uint64_t sched_count = r.counted(21, "schedule event");
@@ -180,13 +218,28 @@ Result<Graph> deserialize_checked(std::span<const std::uint8_t> bytes) {
       s.kind = static_cast<sync::SyncEventKind>(r.u8());
       schedule.push_back(s);
     }
-    // Graph construction validates edge endpoints and may throw; fold
-    // that into the same typed error path as the decode itself.
-    return Graph(std::move(nodes), std::move(edges), std::move(schedule));
+    // lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
+    return GraphParts{std::move(nodes), std::move(edges), std::move(schedule)};
   } catch (const std::exception& e) {
     return Status(StatusCode::kInvalidArgument,
                   std::string("CPG deserialize: ") + e.what());
   }
+}
+
+// lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
+Result<Graph> deserialize_checked(std::span<const std::uint8_t> bytes) {
+  // lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
+  auto parts = deserialize_parts_checked(bytes);
+  // lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
+  if (!parts.ok()) return parts.status();
+  // Result's operator-> is const: moving through it would copy.
+  // lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
+  GraphParts decoded = std::move(parts).value();
+  // lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
+  return Graph(std::move(decoded.nodes), std::move(decoded.edges),
+               // lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
+               std::move(decoded.schedule));
+// lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
 }
 
 Graph deserialize(std::span<const std::uint8_t> bytes) {

@@ -29,19 +29,43 @@ inline constexpr std::uint32_t kCpgFormatVersion = 3;
 /// a compatibility export.
 inline constexpr std::uint32_t kCpgMinReadVersion = 2;
 
+/// The three sections of a whole-graph file, decoded but not indexed.
+/// A shard file nests its local nodes and intra-shard edges in this
+/// form; the shard store reads them as plain arrays and builds only
+/// the lookups its queries walk (shard/store.h), never a Graph.
+struct GraphParts {
+  std::vector<SubComputation> nodes;  ///< node ids dense in index order
+  std::vector<Edge> edges;            ///< endpoints checked in range
+  std::vector<sync::SyncEvent> schedule;
+};
+
 /// Compact binary encoding (little-endian). Layout: magic "CPG1",
 /// format version, node count, nodes, edge count, edges, schedule.
 /// `version` selects the generation to emit -- kCpgFormatVersion for
 /// normal writes, 2 for compatibility exports (the v2 store writer
 /// shim the compat tests and size benchmarks build against).
+/// serialize() is serialize_parts() over the graph's sections, so a
+/// Graph and a shard's nested parts encode to the same bytes.
+[[nodiscard]] std::vector<std::uint8_t> serialize_parts(
+    std::span<const SubComputation> nodes, std::span<const Edge> edges,
+    std::span<const sync::SyncEvent> schedule,
+    std::uint32_t version = kCpgFormatVersion);
 [[nodiscard]] std::vector<std::uint8_t> serialize(
     const Graph& graph, std::uint32_t version = kCpgFormatVersion);
 
-/// Inverse of serialize(). A malformed, truncated, or wrong-version
-/// buffer comes back as kInvalidArgument with a precise message; this
-/// is the form tools and the sharded store load through. Accepts a
-/// view so nested sections (a shard file's embedded graph) decode in
-/// place without copying the payload.
+/// Inverse of serialize_parts(): decodes and checks structure (header,
+/// lengths, dense node ids, edge endpoints in range) but builds no
+/// index. Page sets come back sorted and duplicate-free, as a Graph
+/// holds them. A malformed, truncated, or wrong-version buffer comes
+/// back as kInvalidArgument with a precise message. Accepts a view so
+/// nested sections (a shard file's embedded parts) decode in place
+/// without copying the payload.
+[[nodiscard]] Result<GraphParts> deserialize_parts_checked(
+    std::span<const std::uint8_t> bytes);
+
+/// Inverse of serialize(): deserialize_parts_checked() plus the Graph
+/// index build, with the same typed errors. The form tools load
+/// whole-graph files through.
 [[nodiscard]] Result<Graph> deserialize_checked(
     std::span<const std::uint8_t> bytes);
 

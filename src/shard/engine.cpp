@@ -58,7 +58,7 @@ struct ShardRef : NodeRef {
 
 ShardRef ref_of(const LoadedShard& ls, std::uint32_t local) {
   return {{ls.data.global_ids[local], ls.data.global_ranks[local],
-           &ls.data.graph.nodes()[local]},
+           &ls.data.nodes[local]},
           &ls,
           local};
 }
@@ -140,7 +140,7 @@ struct Bucket {
   }
 };
 
-Bucket merged_bucket(ShardStore& store, Pins& pins, std::uint64_t page,
+Bucket merged_bucket(ShardStore& store, Pins& pins, PageRef page,
                      bool writers, RankWindow window) {
   const Manifest& m = store.manifest();
   Bucket out;
@@ -152,16 +152,16 @@ Bucket merged_bucket(ShardStore& store, Pins& pins, std::uint64_t page,
     // Fence-pruned without touching the file: the page fence must
     // cover the page, and the rank fence must meet the window (the
     // store validated at open that rank fences tile the rank space).
-    if (info.min_page == kNoPage || page < info.min_page ||
-        page > info.max_page || info.rank_hi <= window.lo ||
+    if (info.min_page == kNoPage || page.page < info.min_page ||
+        page.page > info.max_page || info.rank_hi <= window.lo ||
         info.rank_lo >= window.hi) {
       continue;
     }
     const LoadedShard* ls = pins.shard(s, /*lenient=*/true);
     if (ls == nullptr) continue;  // quarantined, degraded answer
-    const auto span = writers ? ls->data.graph.page_writers(page)
-                              : ls->data.graph.page_readers(page);
-    for (const cpg::NodeId local : span) {
+    const auto span = writers ? ls->page_writers(page.index)
+                              : ls->page_readers(page.index);
+    for (const std::uint32_t local : span) {
       const std::uint32_t rank = ls->data.global_ranks[local];
       if (rank < window.lo || rank >= window.hi) continue;
       out.entries.push_back(ref_of(*ls, local));
@@ -204,13 +204,13 @@ RaceBatch gather_race_batch(ShardStore& store, Degraded& deg,
   batch.writer_buckets.resize(pages.size());
   batch.reader_buckets.resize(pages.size());
   const auto copy_out = [&](const LoadedShard& ls,
-                            std::span<const cpg::NodeId> locals,
+                            std::span<const std::uint32_t> locals,
                             Bucket& out) {
-    for (const cpg::NodeId local : locals) {
+    for (const std::uint32_t local : locals) {
       const cpg::NodeId id = ls.data.global_ids[local];
       auto [it, fresh] = batch.nodes.try_emplace(id);
       if (fresh) {
-        const cpg::SubComputation& src = ls.data.graph.nodes()[local];
+        const cpg::SubComputation& src = ls.data.nodes[local];
         cpg::SubComputation& dst = it->second;
         dst.id = id;
         dst.thread = src.thread;
@@ -242,10 +242,8 @@ RaceBatch gather_race_batch(ShardStore& store, Degraded& deg,
     for (auto it = first; it != pages.end() && it->page <= info.max_page;
          ++it) {
       const auto k = static_cast<std::size_t>(it - pages.begin());
-      copy_out(*ls, ls->data.graph.page_writers(it->page),
-               batch.writer_buckets[k]);
-      copy_out(*ls, ls->data.graph.page_readers(it->page),
-               batch.reader_buckets[k]);
+      copy_out(*ls, ls->page_writers(it->index), batch.writer_buckets[k]);
+      copy_out(*ls, ls->page_readers(it->index), batch.reader_buckets[k]);
     }
   }
   for (std::size_t k = 0; k < pages.size(); ++k) {
@@ -272,7 +270,7 @@ void for_each_recorded(const LoadedShard& ls,
         (i < locals.size() && ls.data.edge_globals[locals[i]] <
                                   frontier[frontier_ids[j]].edge_index);
     if (take_local) {
-      const cpg::Edge& e = ls.data.graph.edges()[locals[i++]];
+      const cpg::Edge& e = ls.data.edges[locals[i++]];
       fn(ls.data.global_ids[incoming ? e.from : e.to]);
     } else {
       const FrontierEdge& f = frontier[frontier_ids[j++]];
@@ -316,18 +314,18 @@ class ShardView {
   }
   [[nodiscard]] Bucket bucket(Pins& pins, PageRef page, bool writers,
                               RankWindow window) const {
-    return merged_bucket(store_, pins, page.page, writers, window);
+    return merged_bucket(store_, pins, page, writers, window);
   }
 
   template <typename Fn>
   void for_each_in(const Ref& v, Fn&& fn) const {
-    for_each_recorded(*v.shard, v.shard->data.graph.in_edges(v.local),
+    for_each_recorded(*v.shard, v.shard->in_edges(v.local),
                       v.shard->frontier_in_of(v.local),
                       v.shard->data.frontier_in, /*incoming=*/true, fn);
   }
   template <typename Fn>
   void for_each_out(const Ref& v, Fn&& fn) const {
-    for_each_recorded(*v.shard, v.shard->data.graph.out_edges(v.local),
+    for_each_recorded(*v.shard, v.shard->out_edges(v.local),
                       v.shard->frontier_out_of(v.local),
                       v.shard->data.frontier_out, /*incoming=*/false, fn);
   }
@@ -355,7 +353,7 @@ class ShardView {
   void section(Pins& pins, std::size_t s, Fn&& fn) const {
     const LoadedShard* ls = pins.shard(static_cast<std::uint32_t>(s), /*lenient=*/true);
     if (ls == nullptr) return;  // quarantined, degraded answer
-    for (const cpg::NodeId local : ls->data.graph.topological_view()) {
+    for (const std::uint32_t local : ls->level_order()) {
       fn(ref_of(*ls, local));
     }
   }

@@ -8,6 +8,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <utility>
 
 #include "cpg/binary_io.h"
@@ -195,6 +196,24 @@ std::vector<std::uint8_t> serialize_manifest(const Manifest& m,
   return out;
 }
 
+namespace {
+
+/// Shard loads index their page buckets by position in the manifest's
+/// page universe, and queries binary-search it, so it must be strictly
+/// ascending -- as the planner writes it. v2 manifests carry no
+/// checksum, so this is the only guard against a damaged order.
+Status check_page_universe(std::span<const std::uint64_t> pages) {
+  const auto bad = std::adjacent_find(pages.begin(), pages.end(),
+                                      std::greater_equal<>());
+  if (bad == pages.end()) return Status::Ok();
+  return Status(StatusCode::kInvalidArgument,
+                "shard manifest: page universe is not strictly ascending "
+                "at position " +
+                    std::to_string(bad - pages.begin()));
+}
+
+}  // namespace
+
 Result<Manifest> deserialize_manifest(const std::vector<std::uint8_t>& bytes) {
   try {
     ByteReader r(bytes);
@@ -281,6 +300,8 @@ Result<Manifest> deserialize_manifest(const std::vector<std::uint8_t>& bytes) {
                         std::to_string(m.node_shard.size()) + " of " +
                         std::to_string(m.total_nodes) + " nodes");
     }
+    // lint: allow(format-version-discipline) refuses only an unsorted universe, which no writer emits (ShardStore.UnsortedPageUniverseIsATypedError)
+    if (Status st = check_page_universe(m.pages); !st.ok()) return st;
     for (const std::uint8_t s : m.node_shard) {
       if (s >= m.shard_count) {
         return Status(StatusCode::kInvalidArgument,
@@ -327,11 +348,15 @@ void write_shard_body(ByteWriter& w, const ShardData& s,
     write_frontier(w, s.frontier_out);
   }
   // The shard's nodes and intra-shard edges reuse the whole-graph
-  // encoding (with its own nested version header), so the two formats
-  // cannot drift; a version-2 shard nests a version-2 graph, keeping
-  // the compatibility export byte-identical to what old builds wrote.
+  // encoding (with its own nested version header and an empty
+  // schedule), so the two formats cannot drift; a version-2 shard
+  // nests a version-2 graph, keeping the compatibility export
+  // byte-identical to what old builds wrote.
+  // lint: allow(format-version-discipline) writes the same bytes (ShardCompatErrors.WriterBytesArePinned)
+  const std::uint32_t nested = version >= 3 ? cpg::kCpgFormatVersion : 2u;
   const std::vector<std::uint8_t> graph_bytes =
-      cpg::serialize(s.graph, version >= 3 ? cpg::kCpgFormatVersion : 2u);
+      // lint: allow(format-version-discipline) writes the same bytes (ShardCompatErrors.WriterBytesArePinned)
+      cpg::serialize_parts(s.nodes, s.edges, {}, nested);
   w.u8_vec(graph_bytes);
 }
 
@@ -460,6 +485,49 @@ Result<ShardData> deserialize_shard(const std::vector<std::uint8_t>& bytes) {
 
 namespace {
 
+/// The orders the store's lookups index through (store.h): the ranks
+/// are a permutation of the shard's own rank fence, so page buckets
+/// are ordered by indexing rank - rank_lo; and every intra-shard edge
+/// raises the global level, so walking the nodes level by level is a
+/// topological order of the shard.
+Status check_layout_order(const ShardData& s) {
+  const std::size_t n = s.global_ids.size();
+  if (s.rank_hi < s.rank_lo || s.rank_hi - s.rank_lo != n) {
+    return Status(StatusCode::kInvalidArgument,
+                  "CPG shard: rank fence [" + std::to_string(s.rank_lo) +
+                      ", " + std::to_string(s.rank_hi) + ") does not span " +
+                      std::to_string(n) + " nodes");
+  }
+  std::vector<char> rank_seen(n, 0);
+  for (const std::uint32_t rank : s.global_ranks) {
+    if (rank < s.rank_lo || rank >= s.rank_hi) {
+      return Status(StatusCode::kInvalidArgument,
+                    "CPG shard: global rank " + std::to_string(rank) +
+                        " lies outside the shard's rank fence [" +
+                        std::to_string(s.rank_lo) + ", " +
+                        std::to_string(s.rank_hi) + ")");
+    }
+    if (rank_seen[rank - s.rank_lo] != 0) {
+      return Status(StatusCode::kInvalidArgument,
+                    "CPG shard: global rank " + std::to_string(rank) +
+                        " repeats");
+    }
+    rank_seen[rank - s.rank_lo] = 1;
+  }
+  for (std::size_t i = 0; i < s.edges.size(); ++i) {
+    const cpg::Edge& e = s.edges[i];
+    if (s.global_levels[e.to] <= s.global_levels[e.from]) {
+      return Status(StatusCode::kInvalidArgument,
+                    "CPG shard: intra-shard edge " +
+                        std::to_string(s.edge_globals[i]) +
+                        " does not raise the global level (" +
+                        std::to_string(s.global_levels[e.from]) + " -> " +
+                        std::to_string(s.global_levels[e.to]) + ")");
+    }
+  }
+  return Status::Ok();
+}
+
 Result<ShardData> deserialize_shard_body(std::span<const std::uint8_t> body,
                                          std::uint32_t version) {
   try {
@@ -489,22 +557,35 @@ Result<ShardData> deserialize_shard_body(std::span<const std::uint8_t> body,
       s.frontier_in = read_frontier(r);
       s.frontier_out = read_frontier(r);
     }
-    // In-place view: the embedded graph is the dominant payload, and
-    // every budget-driven cache miss decodes one -- no second copy.
-    auto graph = cpg::deserialize_checked(r.u8_view());
-    if (!graph.ok()) return graph.status();
-    s.graph = std::move(graph).value();
-    const std::size_t n = s.graph.nodes().size();
+    // In-place view: the embedded parts are the dominant payload, and
+    // every budget-driven cache miss decodes them -- no second copy,
+    // and no index build: the store's lookups come from the sidecars.
+    // lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
+    auto parts = cpg::deserialize_parts_checked(r.u8_view());
+    // lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
+    if (!parts.ok()) return parts.status();
+    // Result's operator-> is const: moving through it would copy.
+    // lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
+    cpg::GraphParts decoded = std::move(parts).value();
+    // lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
+    s.nodes = std::move(decoded.nodes);
+    // lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
+    s.edges = std::move(decoded.edges);
+    // lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
+    const std::size_t n = s.nodes.size();
     if (s.global_ids.size() != n || s.global_ranks.size() != n ||
         s.global_levels.size() != n) {
       return Status(StatusCode::kInvalidArgument,
                     "CPG shard: sidecar arrays do not match the node count");
     }
-    if (s.edge_globals.size() != s.graph.edges().size()) {
+    // lint: allow(format-version-discipline) reads the same bytes (shard_compat_test, the bit-flip sweeps)
+    if (s.edge_globals.size() != s.edges.size()) {
       return Status(StatusCode::kInvalidArgument,
                     "CPG shard: edge index sidecar does not match the edge "
                     "count");
     }
+    // lint: allow(format-version-discipline) refuses only layouts no writer emits (the ShardStore *QuarantinesTheShard tests)
+    if (Status st = check_layout_order(s); !st.ok()) return st;
     // Structural invariants the lookup builders and the query layer
     // dereference without further checks -- a corrupt or foreign file
     // must die here as a typed error, not as UB downstream.
@@ -561,6 +642,20 @@ Result<ShardData> deserialize_shard_body(std::span<const std::uint8_t> body,
 }
 
 }  // namespace
+
+std::pair<std::uint64_t, std::uint64_t> page_fence(
+    std::span<const cpg::SubComputation> nodes) {
+  std::uint64_t lo = kNoPage;
+  std::uint64_t hi = 0;
+  for (const cpg::SubComputation& node : nodes) {
+    for (const PageSet* set : {&node.read_set, &node.write_set}) {
+      if (set->empty()) continue;
+      lo = std::min(lo, set->front());
+      hi = std::max(hi, set->back());
+    }
+  }
+  return {lo, hi};
+}
 
 Result<std::vector<std::uint8_t>> read_file_bytes(const std::string& path) {
   if (util::failpoint_check("shard.read_file")) {

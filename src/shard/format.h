@@ -7,9 +7,12 @@
 // edge either stays inside a shard or crosses from a lower-ranked
 // shard to a higher-ranked one, never backward. Each shard file holds
 //
-//   - the shard's sub-computations as a local cpg::Graph (local node
-//     ids 0..m-1, intra-shard edges only, own CSR + page inverted
-//     index built at load), serialized with the versioned CPG format,
+//   - the shard's sub-computations and intra-shard edges (local node
+//     ids 0..m-1), nested in the whole-graph CPG encoding
+//     (cpg::serialize_parts) and decoded back into plain arrays -- a
+//     load builds no cpg::Graph; the store derives the few lookups its
+//     queries walk (shard/store.h) straight from these arrays and the
+//     sidecars,
 //   - sidecar arrays mapping local ids back to the global graph:
 //     global node ids (ascending, so local id = position), global
 //     hb-ranks, global topological levels, and the global edge index
@@ -35,7 +38,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cpg/graph.h"
@@ -161,8 +166,20 @@ struct ShardData {
                                                      ///< index, ascending
   std::vector<FrontierEdge> frontier_in;   ///< ascending edge_index
   std::vector<FrontierEdge> frontier_out;  ///< ascending edge_index
-  cpg::Graph graph;  ///< local nodes + intra-shard edges, indices built
+  /// Local id -> payload (SubComputation::id is the local id; page
+  /// sets sorted and duplicate-free).
+  std::vector<cpg::SubComputation> nodes;
+  /// Intra-shard edges with local endpoints, aligned with edge_globals
+  /// (so ascending global edge index).
+  std::vector<cpg::Edge> edges;
 };
+
+/// The page fence [min, max] of a node set: the smallest and largest
+/// page any node reads or writes, or {kNoPage, 0} when none touches a
+/// page. Page sets must be sorted (ShardData's are). The planner
+/// records it in the manifest; fsck re-derives it from the file.
+[[nodiscard]] std::pair<std::uint64_t, std::uint64_t> page_fence(
+    std::span<const cpg::SubComputation> nodes);
 
 // --- encoding ---------------------------------------------------------
 
@@ -174,7 +191,8 @@ struct ShardData {
 /// Decode + validate a manifest (versions kManifestMinReadVersion
 /// through kManifestFormatVersion). A v3 manifest whose trailing
 /// self-checksum does not match its bytes is kDataLoss; structural
-/// damage is kInvalidArgument.
+/// damage -- a page universe that is not strictly ascending among it
+/// -- is kInvalidArgument.
 [[nodiscard]] Result<Manifest> deserialize_manifest(
     const std::vector<std::uint8_t>& bytes);
 
@@ -192,7 +210,12 @@ struct ShardData {
 /// Decode + validate one shard file (transparently decompressing a
 /// kLz body). A corrupt compressed payload -- truncated, bad offsets,
 /// checksum mismatch -- comes back as kInvalidArgument, never as an
-/// exception.
+/// exception. So does every broken invariant the store's lookups
+/// index through: sidecar lengths, ascending ids and frontiers, ranks
+/// that are not a permutation of the shard's rank fence, and an
+/// intra-shard edge that does not raise the global level (levels order
+/// a shard's topological section). Page sets come back sorted and
+/// duplicate-free, as a Graph would hold them.
 [[nodiscard]] Result<ShardData> deserialize_shard(
     const std::vector<std::uint8_t>& bytes);
 

@@ -85,6 +85,25 @@ std::string cross_check(const Manifest& m, std::uint32_t index,
                     data.frontier_in.size() + data.frontier_out.size(),
                     info.frontier_count);
   }
+  // The routing fences queries prune shards by, re-derived from the
+  // payload: a fence narrower than the file silently drops answers.
+  if (const auto [lo, hi] = page_fence(data.nodes);
+      lo != info.min_page || hi != info.max_page) {
+    return "page fence is [" + std::to_string(lo) + ", " +
+           std::to_string(hi) + "] but the manifest says [" +
+           std::to_string(info.min_page) + ", " +
+           std::to_string(info.max_page) + "]";
+  }
+  if (!data.global_levels.empty()) {
+    const auto [lo, hi] = std::minmax_element(data.global_levels.begin(),
+                                              data.global_levels.end());
+    if (*lo != info.min_level || *hi != info.max_level) {
+      return "level fence is [" + std::to_string(*lo) + ", " +
+             std::to_string(*hi) + "] but the manifest says [" +
+             std::to_string(info.min_level) + ", " +
+             std::to_string(info.max_level) + "]";
+    }
+  }
   for (const cpg::NodeId global : data.global_ids) {
     if (global >= m.node_shard.size() || m.node_shard[global] != index) {
       return "node " + std::to_string(global) +

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 
@@ -200,8 +201,8 @@ Status materialize_shards(const cpg::Graph& graph, const ShardPlan& plan,
               };
           data.frontier_in = frontier_of(buckets.fin[s]);
           data.frontier_out = frontier_of(buckets.fout[s]);
-          data.graph = cpg::Graph(std::move(nodes), std::move(local_edges),
-                                  {});
+          data.nodes = std::move(nodes);
+          data.edges = std::move(local_edges);
 
           ShardInfo& info = infos[s];
           info.file = shard_file_name(static_cast<std::uint32_t>(s),
@@ -212,13 +213,8 @@ Status materialize_shards(const cpg::Graph& graph, const ShardPlan& plan,
           info.edge_count = data.edge_globals.size();
           info.frontier_count =
               data.frontier_in.size() + data.frontier_out.size();
-          info.min_page = kNoPage;
-          info.max_page = 0;
-          const auto local_pages = data.graph.pages();
-          if (!local_pages.empty()) {
-            info.min_page = local_pages.front();
-            info.max_page = local_pages.back();
-          }
+          // page_fence needs sorted page sets; a Graph's are.
+          std::tie(info.min_page, info.max_page) = page_fence(data.nodes);
           info.min_level = 0;
           info.max_level = 0;
           if (m > 0) {

@@ -76,6 +76,18 @@ std::optional<std::uint32_t> LoadedShard::local_of(cpg::NodeId global) const {
   return static_cast<std::uint32_t>(it - ids.begin());
 }
 
+std::span<const std::uint32_t> LoadedShard::out_edges(
+    std::uint32_t local) const {
+  return {out_ids_.data() + out_offsets_[local],
+          out_ids_.data() + out_offsets_[local + 1]};
+}
+
+std::span<const std::uint32_t> LoadedShard::in_edges(
+    std::uint32_t local) const {
+  return {in_ids_.data() + in_offsets_[local],
+          in_ids_.data() + in_offsets_[local + 1]};
+}
+
 std::span<const std::uint32_t> LoadedShard::frontier_in_of(
     std::uint32_t local) const {
   return {fin_ids_.data() + fin_offsets_[local],
@@ -99,60 +111,172 @@ std::span<const std::uint32_t> LoadedShard::level_locals(
           level_ids_.data() + level_offsets_[bucket + 1]};
 }
 
-void LoadedShard::build_lookup() {
-  const std::size_t n = data.global_ids.size();
-  // Frontier buckets by local endpoint; iterating the (edge-index-
-  // sorted) frontier lists in order keeps each bucket ascending by
-  // global edge index, which the critical-path tie-break relies on.
-  const auto bucket = [&](const std::vector<FrontierEdge>& edges,
-                          const bool by_to, std::vector<std::uint32_t>& offsets,
-                          std::vector<std::uint32_t>& out) {
-    offsets.assign(n + 1, 0);
-    out.resize(edges.size());
-    std::vector<std::uint32_t> locals(edges.size());
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      const cpg::NodeId endpoint = by_to ? edges[i].to : edges[i].from;
-      locals[i] = *local_of(endpoint);
-      ++offsets[locals[i] + 1];
-    }
-    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
-    std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      out[cursor[locals[i]]++] = static_cast<std::uint32_t>(i);
-    }
-  };
-  bucket(data.frontier_in, /*by_to=*/true, fin_offsets_, fin_ids_);
-  bucket(data.frontier_out, /*by_to=*/false, fout_offsets_, fout_ids_);
+namespace {
 
-  // Level buckets over the shard's global-level window. Scattering in
-  // local-id order keeps each bucket ascending by local (hence global)
-  // node id.
+/// Counting-sort `count` items into `buckets` CSR buckets by
+/// `key_of(i)`. Scattering in item order keeps every bucket ascending
+/// by item index -- the order each caller's tie-breaks rely on.
+template <typename KeyOf>
+void bucket_items(std::size_t buckets, std::size_t count, KeyOf&& key_of,
+                  std::vector<std::uint32_t>& offsets,
+                  std::vector<std::uint32_t>& ids) {
+  offsets.assign(buckets + 1, 0);
+  for (std::size_t i = 0; i < count; ++i) ++offsets[key_of(i) + 1];
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  ids.resize(count);
+  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (std::size_t i = 0; i < count; ++i) {
+    ids[cursor[key_of(i)]++] = static_cast<std::uint32_t>(i);
+  }
+}
+
+std::span<const std::uint32_t> page_bucket(
+    const std::vector<std::uint32_t>& offsets,
+    const std::vector<std::uint32_t>& ids, std::size_t page_lo,
+    std::size_t page_index) {
+  if (page_index < page_lo || page_index - page_lo + 1 >= offsets.size()) {
+    return {};
+  }
+  const std::size_t bucket = page_index - page_lo;
+  return {ids.data() + offsets[bucket], ids.data() + offsets[bucket + 1]};
+}
+
+}  // namespace
+
+std::span<const std::uint32_t> LoadedShard::page_writers(
+    std::size_t page_index) const {
+  return page_bucket(writer_offsets_, writers_, page_lo_, page_index);
+}
+
+std::span<const std::uint32_t> LoadedShard::page_readers(
+    std::size_t page_index) const {
+  return page_bucket(reader_offsets_, readers_, page_lo_, page_index);
+}
+
+Status LoadedShard::build_lookup(const PagePositions& positions) {
+  const std::size_t n = data.global_ids.size();
+  // Recorded-edge CSR; edges ascend by global index, so each node's
+  // list does too.
+  bucket_items(
+      n, data.edges.size(), [&](std::size_t i) { return data.edges[i].from; },
+      out_offsets_, out_ids_);
+  bucket_items(
+      n, data.edges.size(), [&](std::size_t i) { return data.edges[i].to; },
+      in_offsets_, in_ids_);
+
+  // Frontier buckets by local endpoint, ascending global edge index
+  // (the critical-path tie-break relies on it).
+  std::vector<std::uint32_t> endpoint;
+  const auto frontier = [&](const std::vector<FrontierEdge>& edges,
+                            const bool by_to,
+                            std::vector<std::uint32_t>& offsets,
+                            std::vector<std::uint32_t>& ids) {
+    endpoint.resize(edges.size());
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      endpoint[i] = *local_of(by_to ? edges[i].to : edges[i].from);
+    }
+    bucket_items(
+        n, edges.size(), [&](std::size_t i) { return endpoint[i]; }, offsets,
+        ids);
+  };
+  frontier(data.frontier_in, /*by_to=*/true, fin_offsets_, fin_ids_);
+  frontier(data.frontier_out, /*by_to=*/false, fout_offsets_, fout_ids_);
+
+  // Level buckets over the shard's global-level window, ascending local
+  // (hence global) node id within a level.
   min_level_ = 0;
   level_offsets_.assign(1, 0);
   level_ids_.clear();
-  if (n == 0) return;
+  page_lo_ = 0;
+  writer_offsets_.assign(1, 0);
+  reader_offsets_.assign(1, 0);
+  writers_.clear();
+  readers_.clear();
+  if (n == 0) return Status::Ok();
   const auto [lo, hi] = std::minmax_element(data.global_levels.begin(),
                                             data.global_levels.end());
   min_level_ = *lo;
-  const std::uint32_t buckets = *hi - *lo + 1;
-  level_offsets_.assign(buckets + 1, 0);
-  for (const std::uint32_t lvl : data.global_levels) {
-    ++level_offsets_[lvl - min_level_ + 1];
-  }
-  std::partial_sum(level_offsets_.begin(), level_offsets_.end(),
-                   level_offsets_.begin());
-  level_ids_.resize(n);
-  std::vector<std::uint32_t> cursor(level_offsets_.begin(),
-                                    level_offsets_.end() - 1);
+  bucket_items(
+      *hi - *lo + 1, n,
+      [&](std::size_t local) { return data.global_levels[local] - min_level_; },
+      level_offsets_, level_ids_);
+
+  // Page buckets over the universe window the shard's pages span,
+  // filled in global rank order. deserialize_shard checked that the
+  // ranks are a permutation of the shard's rank fence, so rank order
+  // is a direct index, not a sort.
+  const auto [first_page, last_page] = page_fence(data.nodes);
+  if (first_page == kNoPage) return Status::Ok();
+  // The window is [position of the first page, position of the last]
+  // (the universe is strictly ascending; deserialize_manifest checks).
+  // Every touch is bounds-checked against it, so a file or universe
+  // that breaks that order fails the load instead of indexing past the
+  // buckets.
+  const auto position_of = [&](std::uint64_t page) -> std::size_t {
+    const auto it = positions.find(page);
+    return it == positions.end() ? kNoPosition : it->second;
+  };
+  page_lo_ = position_of(first_page);
+  const std::size_t last = position_of(last_page);
+  const std::size_t width =
+      page_lo_ <= last && last != kNoPosition ? last - page_lo_ + 1 : 0;
+  std::vector<std::uint32_t> by_rank(n);
   for (std::uint32_t local = 0; local < n; ++local) {
-    level_ids_[cursor[data.global_levels[local] - min_level_]++] = local;
+    by_rank[data.global_ranks[local] - data.rank_lo] = local;
   }
+  // Two passes per bucket set. The first walks the nodes in local
+  // order (their payloads lie in that order) and records each touch's
+  // bucket; the second scatters in rank order from those records
+  // alone, so it never revisits the payloads.
+  std::vector<std::uint32_t> touch_begin(n + 1);
+  std::vector<std::uint32_t> touch_bucket;
+  const auto pages = [&](PageSet cpg::SubComputation::*set,
+                         std::vector<std::uint32_t>& offsets,
+                         std::vector<std::uint32_t>& ids) -> Status {
+    touch_bucket.clear();
+    offsets.assign(width + 1, 0);
+    for (std::uint32_t local = 0; local < n; ++local) {
+      touch_begin[local] = static_cast<std::uint32_t>(touch_bucket.size());
+      for (const std::uint64_t page : data.nodes[local].*set) {
+        // Unsigned: a position before the window wraps past `width`.
+        const std::size_t bucket = position_of(page) - page_lo_;
+        if (bucket >= width) {
+          return Status(StatusCode::kInvalidArgument,
+                        "page " + std::to_string(page) +
+                            " lies outside the manifest's page universe");
+        }
+        touch_bucket.push_back(static_cast<std::uint32_t>(bucket));
+        ++offsets[bucket + 1];
+      }
+    }
+    touch_begin[n] = static_cast<std::uint32_t>(touch_bucket.size());
+    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+    ids.resize(touch_bucket.size());
+    std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (const std::uint32_t local : by_rank) {
+      for (std::uint32_t t = touch_begin[local]; t < touch_begin[local + 1];
+           ++t) {
+        ids[cursor[touch_bucket[t]]++] = local;
+      }
+    }
+    return Status::Ok();
+  };
+  if (Status st = pages(&cpg::SubComputation::write_set, writer_offsets_,
+                        writers_);
+      !st.ok()) {
+    return st;
+  }
+  return pages(&cpg::SubComputation::read_set, reader_offsets_, readers_);
 }
 
 ShardStore::ShardStore(std::string dir, Manifest manifest,
                        StoreOptions options)
     : dir_(std::move(dir)), manifest_(std::move(manifest)),
       options_(options) {
+  page_positions_.reserve(manifest_.pages.size());
+  for (std::uint32_t i = 0; i < manifest_.pages.size(); ++i) {
+    page_positions_.emplace(manifest_.pages[i], i);
+  }
   for (const ShardInfo& info : manifest_.shards) {
     stats_.total_bytes += info.byte_size;
     stats_.total_decoded_bytes += info.decoded_bytes;
@@ -350,24 +474,25 @@ Result<std::shared_ptr<const LoadedShard>> ShardStore::load(
     }
     // Rank-fenced gathers skip a shard whose manifest fence lies
     // outside the caller's window, so a rank outside the fence would
-    // silently drop a node from some answers.
+    // silently drop a node from some answers. deserialize_shard proved
+    // the ranks a permutation of the file's own fence; that fence must
+    // be the manifest's.
     const ShardInfo& info = manifest_.shards[shard];
-    for (const std::uint32_t rank : data->global_ranks) {
-      if (rank < info.rank_lo || rank >= info.rank_hi) {
-        return Status(StatusCode::kInvalidArgument,
-                      dir_ + "/" + info.file + ": global rank " +
-                          std::to_string(rank) +
-                          " lies outside the manifest's rank fence [" +
-                          std::to_string(info.rank_lo) + ", " +
-                          std::to_string(info.rank_hi) + ")");
-      }
+    if (data->rank_lo != info.rank_lo || data->rank_hi != info.rank_hi) {
+      return Status(StatusCode::kInvalidArgument,
+                    dir_ + "/" + info.file + ": rank fence [" +
+                        std::to_string(data->rank_lo) + ", " +
+                        std::to_string(data->rank_hi) +
+                        ") differs from the manifest's rank fence [" +
+                        std::to_string(info.rank_lo) + ", " +
+                        std::to_string(info.rank_hi) + ")");
     }
     for (const std::uint32_t level : data->global_levels) {
       if (manifest_.level_count == 0 || level >= manifest_.level_count) {
         return mismatch("a topological level");
       }
     }
-    for (const auto& node : data->graph.nodes()) {
+    for (const auto& node : data->nodes) {
       if (node.thread >= manifest_.thread_count) {
         return mismatch("a thread id");
       }
@@ -378,7 +503,10 @@ Result<std::shared_ptr<const LoadedShard>> ShardStore::load(
   auto loaded = std::make_shared<LoadedShard>();
   loaded->data = std::move(data).value();
   loaded->decoded_bytes = manifest_.shards[shard].decoded_bytes;
-  loaded->build_lookup();
+  if (Status st = loaded->build_lookup(page_positions_); !st.ok()) {
+    return fail(Status(st.code(), dir_ + "/" + manifest_.shards[shard].file +
+                                      ": " + st.message()));
+  }
   // Back under the lock only for the cache mutation itself; the guard
   // clears the in-flight mark (and wakes waiters) under this same
   // lock hold once the shard is resident.

@@ -140,8 +140,17 @@ Result<std::vector<std::uint8_t>> decompress_checked(
     return corrupt("implausible decoded size " + std::to_string(expected) +
                    " for a " + std::to_string(payload) + "-byte payload");
   }
-  std::vector<std::uint8_t> out;
-  out.reserve(expected);
+  // Decode into a buffer sized once: literals and non-overlapping
+  // matches copy in bulk -- a fixed 16-byte copy when both sides have
+  // the room, since short sequences dominate -- and only overlapping
+  // (RLE) matches fall back to the byte loop. Bytes a short wildcopy
+  // writes past its sequence stay inside the buffer and are
+  // overwritten by the next sequence.
+  constexpr std::size_t kWildCopy = 16;
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(expected));
+  std::uint8_t* const dst = out.data();
+  const std::uint8_t* const src = block.data();
+  std::size_t op = 0;  // bytes decoded so far
   std::size_t pos = kBlockHeaderBytes;
 
   bool truncated = false;
@@ -164,15 +173,28 @@ Result<std::vector<std::uint8_t>> decompress_checked(
     return len;
   };
 
-  while (out.size() < expected) {
+  while (op < expected) {
     const std::uint8_t token = read_byte();
     const std::size_t lit_len = read_length(token >> 4);
     if (truncated) return corrupt("truncated block");
     if (pos + lit_len > block.size()) return corrupt("truncated literals");
-    out.insert(out.end(), block.begin() + static_cast<std::ptrdiff_t>(pos),
-               block.begin() + static_cast<std::ptrdiff_t>(pos + lit_len));
+    if (lit_len > expected - op) {
+      // The literals overrun the decoded size: the same verdicts, in
+      // the same order, a decode that appended them would reach.
+      if ((token & 0x0F) != 0) {
+        return corrupt("final sequence declares a match");
+      }
+      return corrupt("size mismatch after decompress");
+    }
+    if (lit_len <= kWildCopy && pos + kWildCopy <= block.size() &&
+        op + kWildCopy <= expected) {
+      std::memcpy(dst + op, src + pos, kWildCopy);
+    } else if (lit_len != 0) {
+      std::memcpy(dst + op, src + pos, lit_len);
+    }
+    op += lit_len;
     pos += lit_len;
-    if (out.size() >= expected) {
+    if (op >= expected) {
       // Only the final trailing-literal sequence can complete the
       // output, and the encoder always writes its match nibble as 0.
       // Anything else is a corrupt byte the decode would otherwise
@@ -187,23 +209,30 @@ Result<std::vector<std::uint8_t>> decompress_checked(
     const std::size_t hi = read_byte();
     if (truncated) return corrupt("truncated match offset");
     const std::size_t offset = lo | (hi << 8);
-    if (offset == 0 || offset > out.size()) {
+    if (offset == 0 || offset > op) {
       return corrupt("match offset " + std::to_string(offset) +
                      " reaches before the window start (window " +
-                     std::to_string(out.size()) + ")");
+                     std::to_string(op) + ")");
     }
     const std::size_t match_len = read_length(token & 0x0F) + kMinMatch;
     if (truncated) return corrupt("truncated match length");
-    if (out.size() + match_len > expected) {
+    if (op + match_len > expected) {
       return corrupt("match overruns the decoded size");
     }
-    // Byte-by-byte copy: matches may overlap their own output (RLE).
-    std::size_t src = out.size() - offset;
-    for (std::size_t i = 0; i < match_len; ++i) {
-      out.push_back(out[src + i]);
+    std::uint8_t* const to = dst + op;
+    const std::uint8_t* const from = to - offset;
+    if (offset >= kWildCopy && match_len <= kWildCopy &&
+        op + kWildCopy <= expected) {
+      std::memcpy(to, from, kWildCopy);
+    } else if (offset >= match_len) {
+      std::memcpy(to, from, match_len);
+    } else {
+      // Overlapping: the match reads bytes it writes itself (RLE).
+      for (std::size_t i = 0; i < match_len; ++i) to[i] = from[i];
     }
+    op += match_len;
   }
-  if (out.size() != expected) {
+  if (op != expected) {
     return corrupt("size mismatch after decompress");
   }
   if (pos != block.size()) {

@@ -36,6 +36,32 @@ inline void put_uvarint(std::vector<std::uint8_t>& out, std::uint64_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
+namespace detail {
+
+/// Why the varint at `pos` failed to decode: get_uvarint's loop found
+/// a defect, and this names it. Out of line and cold, so the decode
+/// loop carries no message building.
+[[gnu::cold, gnu::noinline]] inline Status varint_error(
+    std::span<const std::uint8_t> in, std::size_t pos) {
+  for (std::size_t p = pos, shift = 0;; ++p, shift += 7) {
+    if (p >= in.size()) {
+      return {StatusCode::kInvalidArgument,
+              "truncated varint at offset " + std::to_string(pos)};
+    }
+    if (shift == 63 && in[p] > 1) {
+      return {StatusCode::kInvalidArgument,
+              "varint overflows u64 at offset " + std::to_string(pos)};
+    }
+    // A final byte that did not decode can only be a zero group.
+    if ((in[p] & 0x80) == 0) {
+      return {StatusCode::kInvalidArgument,
+              "overlong varint encoding at offset " + std::to_string(pos)};
+    }
+  }
+}
+
+}  // namespace detail
+
 /// Decode one varint from `in` at `pos`, advancing `pos` past it on
 /// success. Rejects, as typed kInvalidArgument:
 ///   - truncation (the continuation bit runs off the buffer),
@@ -46,34 +72,21 @@ inline void put_uvarint(std::vector<std::uint8_t>& out, std::uint64_t v) {
 [[nodiscard]] inline Status get_uvarint(std::span<const std::uint8_t> in,
                                         std::size_t& pos, std::uint64_t& v) {
   std::uint64_t result = 0;
-  unsigned shift = 0;
   std::size_t p = pos;
-  for (;;) {
-    if (p >= in.size()) {
-      return {StatusCode::kInvalidArgument,
-              "truncated varint at offset " + std::to_string(pos)};
-    }
+  // A byte at shift 63 either ends the varint (it is 0 or 1) or
+  // overflows, so the loop never needs a shift past 63.
+  for (unsigned shift = 0; shift <= 63 && p < in.size(); shift += 7) {
     const std::uint8_t byte = in[p++];
-    if (shift == 63 && byte > 1) {
-      return {StatusCode::kInvalidArgument,
-              "varint overflows u64 at offset " + std::to_string(pos)};
-    }
+    if (shift == 63 && byte > 1) break;
     result |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) {
-      if (byte == 0 && shift != 0) {
-        return {StatusCode::kInvalidArgument,
-                "overlong varint encoding at offset " + std::to_string(pos)};
-      }
+      if (byte == 0 && shift != 0) break;
       pos = p;
       v = result;
       return Status::Ok();
     }
-    shift += 7;
-    if (shift > 63) {
-      return {StatusCode::kInvalidArgument,
-              "varint overflows u64 at offset " + std::to_string(pos)};
-    }
   }
+  return detail::varint_error(in, pos);
 }
 
 /// Zigzag-fold a signed delta so small magnitudes of either sign get

@@ -6,11 +6,6 @@
 
 namespace inspector::vclock {
 
-void VectorClock::set(std::size_t tid, std::uint64_t value) {
-  if (tid >= c_.size()) c_.resize(tid + 1, 0);
-  c_[tid] = value;
-}
-
 void VectorClock::tick(std::size_t tid) {
   if (tid >= c_.size()) c_.resize(tid + 1, 0);
   ++c_[tid];

@@ -42,7 +42,11 @@ class VectorClock {
   }
 
   /// Set component `tid` to `value`, growing the clock if necessary.
-  void set(std::size_t tid, std::uint64_t value);
+  /// Inline: file decoders set every component of every node's clock.
+  void set(std::size_t tid, std::uint64_t value) {
+    if (tid >= c_.size()) c_.resize(tid + 1, 0);
+    c_[tid] = value;
+  }
 
   /// Increment component `tid` by one (local logical tick).
   void tick(std::size_t tid);

@@ -5,6 +5,7 @@
 // PT logs compress very well.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <span>
@@ -271,6 +272,104 @@ TEST(Compress, PtStreamsCompressByEntropy) {
       << "loop back-edge streams (histogram, 34x) must compress far "
          "better than data-dependent streams (string_match, 6x)";
   EXPECT_GT(data_ratio, 1.0);
+}
+
+/// One hand-built block: the sequences a test chooses, encoded the way
+/// compress() frames them, plus the bytes a plain byte-by-byte decode
+/// of those sequences yields (the reference the fast decoder must
+/// match).
+struct CraftedBlock {
+  std::vector<std::uint8_t> body;
+  std::vector<std::uint8_t> decoded;
+
+  static void length(std::vector<std::uint8_t>& out, std::size_t len) {
+    for (; len >= 255; len -= 255) out.push_back(255);
+    out.push_back(static_cast<std::uint8_t>(len));
+  }
+  void sequence(std::span<const std::uint8_t> literals, std::size_t offset,
+                std::size_t match_len) {
+    const std::size_t m = match_len == 0 ? 0 : match_len - 4;
+    body.push_back(static_cast<std::uint8_t>(
+        (std::min<std::size_t>(literals.size(), 15) << 4) |
+        std::min<std::size_t>(m, 15)));
+    if (literals.size() >= 15) length(body, literals.size() - 15);
+    body.insert(body.end(), literals.begin(), literals.end());
+    decoded.insert(decoded.end(), literals.begin(), literals.end());
+    if (match_len == 0) return;
+    body.push_back(static_cast<std::uint8_t>(offset));
+    body.push_back(static_cast<std::uint8_t>(offset >> 8));
+    if (m >= 15) length(body, m - 15);
+    const std::size_t from = decoded.size() - offset;
+    for (std::size_t i = 0; i < match_len; ++i) {
+      decoded.push_back(decoded[from + i]);
+    }
+  }
+  [[nodiscard]] std::vector<std::uint8_t> block() const {
+    std::vector<std::uint8_t> out;
+    const std::uint64_t checksum = inspector::snapshot::fnv1a(decoded);
+    for (int i = 0; i < 8; ++i) {
+      out.push_back(static_cast<std::uint8_t>(decoded.size() >> (8 * i)));
+    }
+    for (int i = 0; i < 8; ++i) {
+      out.push_back(static_cast<std::uint8_t>(checksum >> (8 * i)));
+    }
+    out.insert(out.end(), body.begin(), body.end());
+    return out;
+  }
+};
+
+TEST(Compress, BulkCopiesMatchTheByteLoopOnAdversarialSequences) {
+  // The decoder copies literals and non-overlapping matches in bulk
+  // (16-byte wildcopies near the middle of the buffer) and loops only
+  // over overlapping matches. Every offset 1-20 -- overlapping and not,
+  // on both sides of the wildcopy width -- at every match length
+  // 4-300, with literal runs of 0-40 bytes before it and the match
+  // placed both mid-buffer and flush against the end, must decode to
+  // exactly what the byte-by-byte reference decode produces.
+  std::mt19937_64 rng(42);
+  const auto random_bytes = [&](std::size_t n) {
+    std::vector<std::uint8_t> out(n);
+    for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+    return out;
+  };
+  for (std::size_t offset = 1; offset <= 20; ++offset) {
+    for (std::size_t len = 4; len <= 300; ++len) {
+      const std::size_t lead = rng() % 41;
+      for (const bool at_end : {false, true}) {
+        CraftedBlock crafted;
+        crafted.sequence(random_bytes(offset + lead), offset, len);
+        if (!at_end) {
+          crafted.sequence(random_bytes(rng() % 24), 1 + rng() % offset,
+                           4 + rng() % 40);
+          crafted.sequence(random_bytes(1 + rng() % 30), 0, 0);
+        }
+        const auto result = decompress_checked(crafted.block());
+        ASSERT_TRUE(result.ok()) << result.status().message() << " offset "
+                                 << offset << " len " << len;
+        ASSERT_EQ(*result, crafted.decoded)
+            << "offset " << offset << " len " << len << " at_end " << at_end;
+      }
+    }
+  }
+}
+
+TEST(Compress, RunsAndShortPeriodsRoundTrip) {
+  // The compressor's own output over inputs built from runs and short
+  // periods: the shapes that make it emit overlapping matches with
+  // small offsets, and matches ending exactly at the decoded size.
+  std::mt19937_64 rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::uint8_t> input;
+    const int segments = 1 + static_cast<int>(rng() % 12);
+    for (int seg = 0; seg < segments; ++seg) {
+      const std::size_t period = 1 + rng() % 20;
+      const std::size_t len = 4 + rng() % 297;
+      std::vector<std::uint8_t> unit(period);
+      for (auto& b : unit) b = static_cast<std::uint8_t>(rng() % 4);
+      for (std::size_t i = 0; i < len; ++i) input.push_back(unit[i % period]);
+    }
+    ASSERT_EQ(roundtrip(input), input) << "trial " << trial;
+  }
 }
 
 class CompressFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};

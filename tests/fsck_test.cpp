@@ -212,6 +212,36 @@ TEST(Fsck, ForeignShardBehindAValidChecksumIsInconsistent) {
   EXPECT_TRUE(report->damaged());
 }
 
+TEST(Fsck, NarrowedRoutingFencesAreInconsistent) {
+  fixtures::ThreadCountGuard threads;
+  util::set_analysis_threads(1);
+  // Queries skip a shard by its manifest page and level fences without
+  // opening it, so a fence narrower than the file silently drops
+  // answers. fsck re-derives both fences from the payload.
+  for (const bool page : {true, false}) {
+    const std::string dir = make_store("fsck_fence", 57);
+    auto read = ShardReader::read_manifest(dir);
+    ASSERT_TRUE(read.ok());
+    Manifest manifest = std::move(read).value();
+    ShardInfo& info = manifest.shards[1];
+    if (page) {
+      ASSERT_LT(info.min_page, info.max_page);
+      ++info.min_page;
+    } else {
+      ASSERT_LT(info.min_level, info.max_level);
+      --info.max_level;
+    }
+    ASSERT_TRUE(replace_file_bytes(dir + "/" + kManifestFileName,
+                                   serialize_manifest(manifest))
+                    .ok());
+    const auto report = fsck(dir);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(has_issue(*report, Kind::kInconsistentShard, info.file))
+        << (page ? "page" : "level") << " fence";
+    EXPECT_TRUE(report->damaged());
+  }
+}
+
 TEST(Fsck, V2ManifestWithoutChecksumsStillVerifies) {
   fixtures::ThreadCountGuard threads;
   util::set_analysis_threads(1);

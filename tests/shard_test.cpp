@@ -112,8 +112,8 @@ TEST(ShardFormat, ShardFilesRoundTripAndCoverTheGraph) {
       const cpg::NodeId gid = data->global_ids[local];
       EXPECT_EQ(data->global_ranks[local], graph.rank(gid));
       // The shard keeps the node payload verbatim (modulo local id).
-      EXPECT_EQ(data->graph.nodes()[local].clock, graph.node(gid).clock);
-      EXPECT_EQ(data->graph.nodes()[local].read_set, graph.node(gid).read_set);
+      EXPECT_EQ(data->nodes[local].clock, graph.node(gid).clock);
+      EXPECT_EQ(data->nodes[local].read_set, graph.node(gid).read_set);
     }
   }
   // Every node once; every edge exactly once as intra or frontier
@@ -566,21 +566,17 @@ TEST(ShardStore, OpenRejectsRankFencesThatDoNotTile) {
   EXPECT_TRUE(shard::ShardStore::open(dir).ok());
 }
 
-TEST(ShardStore, RankOutsideTheFenceQuarantinesTheShard) {
-  const cpg::Graph graph = fixtures::random_history(15);
-  const std::string dir = temp_store("bad_rank");
-  auto written = shard::write_store(graph, dir, shard::PlanOptions{3},
-                                    shard::ShardCodec::kLz);
-  ASSERT_TRUE(written.ok()) << written.status().message();
-  shard::Manifest manifest = std::move(written).value();
-  // Give shard 0's first node the first rank of shard 1, then re-seal
-  // the file and its manifest entry so only the fence check objects.
-  shard::ShardInfo& info = manifest.shards[0];
+/// Rewrite shard `index` of the store at `dir` with `edit` applied to
+/// its decoded payload, and re-seal the file and its manifest entry
+/// (sizes, checksum) so only the load's structural checks can object.
+template <typename Edit>
+void reseal_shard(const std::string& dir, shard::Manifest& manifest,
+                  std::uint32_t index, Edit&& edit) {
+  shard::ShardInfo& info = manifest.shards[index];
   auto read = shard::ShardReader::read_shard(dir, info);
   ASSERT_TRUE(read.ok()) << read.status().message();
   shard::ShardData data = std::move(read).value();
-  ASSERT_FALSE(data.global_ranks.empty());
-  data.global_ranks[0] = info.rank_hi;
+  ASSERT_NO_FATAL_FAILURE(edit(data));
   std::uint64_t decoded = 0;
   const auto bytes = shard::serialize_shard(data, info.codec, &decoded);
   ASSERT_TRUE(shard::write_file_bytes(dir + "/" + info.file, bytes).ok());
@@ -588,7 +584,13 @@ TEST(ShardStore, RankOutsideTheFenceQuarantinesTheShard) {
   info.decoded_bytes = decoded;
   info.file_checksum = snapshot::fnv1a(bytes);
   rewrite_manifest(dir, manifest);
+}
 
+/// Shard 0 of the store at `dir` fails to load as a quarantined
+/// kUnavailable wrapping a kInvalidArgument that mentions `why`, and
+/// shard 1 still serves.
+void expect_quarantined_at_load(const std::string& dir,
+                                const std::string& why) {
   auto store = shard::ShardStore::open(dir);
   ASSERT_TRUE(store.ok()) << store.status().message();
   const auto loaded = store.value()->load(0);
@@ -597,10 +599,126 @@ TEST(ShardStore, RankOutsideTheFenceQuarantinesTheShard) {
   EXPECT_NE(loaded.status().message().find("invalid_argument"),
             std::string::npos)
       << loaded.status().message();
-  EXPECT_NE(loaded.status().message().find("rank fence"), std::string::npos)
+  EXPECT_NE(loaded.status().message().find(why), std::string::npos)
       << loaded.status().message();
   EXPECT_EQ(store.value()->stats().quarantined_shards, 1u);
   EXPECT_TRUE(store.value()->load(1).ok());
+}
+
+TEST(ShardStore, RankOutsideTheFenceQuarantinesTheShard) {
+  const cpg::Graph graph = fixtures::random_history(15);
+  const std::string dir = temp_store("bad_rank");
+  auto written = shard::write_store(graph, dir, shard::PlanOptions{3},
+                                    shard::ShardCodec::kLz);
+  ASSERT_TRUE(written.ok()) << written.status().message();
+  shard::Manifest manifest = std::move(written).value();
+  // Give shard 0's first node the first rank of shard 1.
+  ASSERT_NO_FATAL_FAILURE(
+      reseal_shard(dir, manifest, 0, [&](shard::ShardData& data) {
+        ASSERT_FALSE(data.global_ranks.empty());
+        data.global_ranks[0] = manifest.shards[0].rank_hi;
+      }));
+  expect_quarantined_at_load(dir, "rank fence");
+}
+
+TEST(ShardStore, RepeatedRankQuarantinesTheShard) {
+  // Page buckets are ordered by indexing rank - rank_lo, so the ranks
+  // must be a permutation of the fence, not just inside it.
+  const cpg::Graph graph = fixtures::random_history(15);
+  const std::string dir = temp_store("repeated_rank");
+  auto written = shard::write_store(graph, dir, shard::PlanOptions{3});
+  ASSERT_TRUE(written.ok()) << written.status().message();
+  shard::Manifest manifest = std::move(written).value();
+  ASSERT_NO_FATAL_FAILURE(
+      reseal_shard(dir, manifest, 0, [](shard::ShardData& data) {
+        ASSERT_GE(data.global_ranks.size(), 2u);
+        data.global_ranks[1] = data.global_ranks[0];
+      }));
+  expect_quarantined_at_load(dir, "repeats");
+}
+
+TEST(ShardStore, PageOutsideTheUniverseQuarantinesTheShard) {
+  // Page buckets are laid out over the manifest's page universe; a file
+  // naming a page the store never saw belongs to another store.
+  const cpg::Graph graph = fixtures::random_history(15);
+  const std::string dir = temp_store("foreign_page");
+  auto written = shard::write_store(graph, dir, shard::PlanOptions{3});
+  ASSERT_TRUE(written.ok()) << written.status().message();
+  shard::Manifest manifest = std::move(written).value();
+  const std::uint64_t foreign = manifest.pages.back() + 1000;
+  ASSERT_NO_FATAL_FAILURE(
+      reseal_shard(dir, manifest, 0, [&](shard::ShardData& data) {
+        ASSERT_FALSE(data.nodes.empty());
+        data.nodes.front().write_set.push_back(foreign);
+      }));
+  expect_quarantined_at_load(dir, "page universe");
+}
+
+TEST(ShardStore, EdgeThatDoesNotRaiseTheLevelQuarantinesTheShard) {
+  // A shard's topological section walks its nodes level by level, so
+  // every intra-shard edge must raise the global level. Flatten one
+  // edge's levels (staying inside the manifest's level range) and
+  // re-seal: the load must refuse the file, not serve a section order
+  // that visits a node before its predecessor.
+  const cpg::Graph graph = fixtures::random_history(15);
+  const std::string dir = temp_store("flat_level");
+  auto written = shard::write_store(graph, dir, shard::PlanOptions{3},
+                                    shard::ShardCodec::kLz);
+  ASSERT_TRUE(written.ok()) << written.status().message();
+  shard::Manifest manifest = std::move(written).value();
+  ASSERT_NO_FATAL_FAILURE(
+      reseal_shard(dir, manifest, 0, [](shard::ShardData& data) {
+        ASSERT_FALSE(data.edges.empty());
+        const cpg::Edge& e = data.edges.front();
+        data.global_levels[e.to] = data.global_levels[e.from];
+      }));
+  expect_quarantined_at_load(dir, "does not raise the global level");
+}
+
+TEST(ShardStore, ShiftedFileRankFenceQuarantinesTheShard) {
+  // A file whose ranks fill its own fence, but whose fence is not the
+  // one the manifest routes by: shift both up by one and re-seal.
+  const cpg::Graph graph = fixtures::random_history(15);
+  const std::string dir = temp_store("shifted_fence");
+  auto written = shard::write_store(graph, dir, shard::PlanOptions{3});
+  ASSERT_TRUE(written.ok()) << written.status().message();
+  shard::Manifest manifest = std::move(written).value();
+  ASSERT_NO_FATAL_FAILURE(
+      reseal_shard(dir, manifest, 0, [](shard::ShardData& data) {
+        ++data.rank_lo;
+        ++data.rank_hi;
+        for (std::uint32_t& rank : data.global_ranks) ++rank;
+      }));
+  expect_quarantined_at_load(dir, "differs from the manifest's rank fence");
+}
+
+TEST(ShardStore, UnsortedPageUniverseIsATypedError) {
+  // Shard loads index page buckets by position in the manifest's page
+  // universe. A v2 manifest carries no checksum, so swapped pages reach
+  // the decoder intact; it must refuse them rather than let a load
+  // index past its buckets.
+  const cpg::Graph graph = fixtures::random_history(15);
+  const std::string dir = temp_store("unsorted_universe");
+  auto written = shard::write_store(graph, dir, shard::PlanOptions{3});
+  ASSERT_TRUE(written.ok()) << written.status().message();
+  shard::Manifest manifest = std::move(written).value();
+  ASSERT_GE(manifest.pages.size(), 2u);
+  std::swap(manifest.pages.front(), manifest.pages.back());
+  const auto bytes = shard::serialize_manifest(manifest, /*version=*/2);
+  ASSERT_TRUE(shard::replace_file_bytes(dir + "/" + shard::kManifestFileName,
+                                        bytes)
+                  .ok());
+  const auto decoded = shard::deserialize_manifest(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("page universe is not strictly "
+                                            "ascending"),
+            std::string::npos)
+      << decoded.status().message();
+  const auto store = shard::ShardStore::open(dir);
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument)
+      << store.status().message();
 }
 
 TEST(ShardFormat, CompressedShardsRoundTrip) {
@@ -633,7 +751,9 @@ TEST(ShardFormat, CompressedShardsRoundTrip) {
     EXPECT_EQ(from_lz->edge_globals, from_raw->edge_globals);
     EXPECT_EQ(from_lz->frontier_in, from_raw->frontier_in);
     EXPECT_EQ(from_lz->frontier_out, from_raw->frontier_out);
-    EXPECT_EQ(from_lz->graph.stats(), from_raw->graph.stats());
+    EXPECT_EQ(from_lz->edges, from_raw->edges);
+    EXPECT_EQ(cpg::serialize_parts(from_lz->nodes, from_lz->edges, {}),
+              cpg::serialize_parts(from_raw->nodes, from_raw->edges, {}));
   }
   EXPECT_GT(inspector::snapshot::compression_ratio(decoded, encoded), 1.5)
       << "CPG shard payloads must actually compress";
@@ -908,6 +1028,54 @@ TEST(ShardedEngine, PointQueriesLoadOnlyFenceEligibleShards) {
   // The sample must include readers whose page fences reach shards
   // ranked above them, or this test could not tell the fences apart.
   EXPECT_GT(pruned, 0u);
+}
+
+TEST(ShardedEngine, LimitedRacesLoadOnlyTheFirstRunsShards) {
+  // Two threads write the same page concurrently in every barrier
+  // round, a fresh page per round, so each page holds a race and the
+  // rank-range shards own disjoint page ranges. On a cold, unbudgeted
+  // store one run could hold the whole page universe; a limited scan's
+  // first run is `limit` pages instead, so `races` limit 1 -- met on
+  // the first page -- loads only the shards whose page fence covers
+  // that page, not every shard.
+  fixtures::ThreadCountGuard threads;
+  util::set_analysis_threads(1);
+  constexpr std::uint32_t kRounds = 24;
+  const auto barrier = sync::make_object_id(sync::ObjectKind::kBarrier, 1);
+  cpg::Recorder rec;
+  for (std::uint32_t t = 0; t < 2; ++t) rec.thread_started(t, t);
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    for (std::uint32_t t = 0; t < 2; ++t) {
+      rec.end_subcomputation(t, {}, {round},
+                             {sync::SyncEventKind::kBarrierWait, barrier});
+      rec.on_release(t, barrier);
+    }
+    for (std::uint32_t t = 0; t < 2; ++t) rec.on_acquire(t, barrier);
+  }
+  for (std::uint32_t t = 0; t < 2; ++t) rec.thread_exiting(t, {}, {});
+  const auto graph =
+      std::make_shared<const cpg::Graph>(std::move(rec).finalize());
+  const std::string dir = temp_store("limited_races");
+  const auto written =
+      shard::write_store(*graph, dir, shard::PlanOptions{6});
+  ASSERT_TRUE(written.ok()) << written.status().message();
+  auto store = shard::ShardStore::open(dir);
+  ASSERT_TRUE(store.ok()) << store.status().message();
+  const shard::Manifest& m = store.value()->manifest();
+  ASSERT_EQ(shard::race_batch_pages(m, store.value()->memory_budget_bytes()),
+            m.pages.size());
+
+  shard::ShardedQueryEngine sharded(store.value(), query::EngineOptions{0});
+  query::QueryEngine memory(graph, query::EngineOptions{0});
+  query::RacesQuery races;
+  races.limit = 1;
+  const query::Query q = races;
+  const std::string reply = query::wire::serialize_reply(1, sharded.run(q));
+  ASSERT_EQ(reply, query::wire::serialize_reply(1, memory.run(q)));
+  ASSERT_NE(reply.find("\"page\":0"), std::string::npos) << reply;
+  const auto owners = fence_eligible(m, {m.pages.front()}, 0, m.total_nodes);
+  EXPECT_LT(owners.size(), m.shard_count);
+  EXPECT_EQ(store.value()->stats().loads, owners.size());
 }
 
 /// The benchmark's served history (perfbench/src/history.h, seed 1,
