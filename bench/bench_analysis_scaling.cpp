@@ -19,8 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/races.h"
-#include "analysis/taint.h"
+#include "analysis/graph_view.h"
 #include "bench_json.h"
 #include "synthetic_history.h"
 #include "util/parallel.h"
@@ -28,6 +27,8 @@
 namespace {
 
 using namespace inspector;
+namespace kernels = analysis::kernels;
+using analysis::GraphView;
 using Clock = std::chrono::steady_clock;
 
 using bench::synthetic_cpg;
@@ -44,21 +45,21 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
 /// merge that reorders or drops anything shows up as a hash mismatch.
 std::uint64_t fingerprint(const cpg::Graph& g,
                           const std::vector<analysis::RaceReport>& races,
-                          const analysis::TaintResult& taint) {
+                          const analysis::Propagation& taint) {
   std::uint64_t h = 0xCBF29CE484222325ULL;
   for (const auto& n : g.nodes()) h = fnv1a(h, g.rank(n.id));
   for (cpg::NodeId id : g.topological_view()) h = fnv1a(h, id);
-  for (std::uint64_t page : g.pages()) {
-    h = fnv1a(h, page);
-    for (cpg::NodeId w : g.page_writers(page)) h = fnv1a(h, w);
-    for (cpg::NodeId r : g.page_readers(page)) h = fnv1a(h, r);
+  for (std::size_t idx = 0; idx < g.page_count(); ++idx) {
+    h = fnv1a(h, g.pages()[idx]);
+    for (cpg::NodeId w : g.writers_at(idx)) h = fnv1a(h, w);
+    for (cpg::NodeId r : g.readers_at(idx)) h = fnv1a(h, r);
   }
   for (const auto& r : races) {
     h = fnv1a(h, (static_cast<std::uint64_t>(r.first) << 32) | r.second);
     h = fnv1a(h, r.page * 2 + (r.write_write ? 1 : 0));
   }
-  for (cpg::NodeId id : taint.tainted_nodes) h = fnv1a(h, id);
-  for (std::uint64_t p : taint.tainted_pages) h = fnv1a(h, p);
+  for (cpg::NodeId id : taint.nodes) h = fnv1a(h, id);
+  for (std::uint64_t p : taint.pages) h = fnv1a(h, p);
   return h;
 }
 
@@ -89,7 +90,7 @@ Measurement measure(const std::vector<cpg::SubComputation>& nodes,
     const double build_ms = ms_since(t0);
 
     const auto t1 = Clock::now();
-    const auto races = analysis::find_races(g);
+    const auto races = kernels::find_races(GraphView(g), {}, 0);
     const double races_ms = ms_since(t1);
 
     PageSet seeds;
@@ -97,7 +98,8 @@ Measurement measure(const std::vector<cpg::SubComputation>& nodes,
       seeds.push_back(g.pages()[p]);
     }
     const auto t2 = Clock::now();
-    const auto taint = analysis::propagate_taint(g, seeds);
+    const auto taint =
+        kernels::propagate(GraphView(g), seeds, /*thread_carryover=*/true);
     const double taint_ms = ms_since(t2);
 
     if (rep == 0 || build_ms + races_ms + taint_ms < best.combined_ms()) {

@@ -24,7 +24,7 @@
 #include "util/page_set.h"
 #include "util/varint.h"
 
-#include "analysis/races.h"
+#include "analysis/graph_view.h"
 #include "bench_json.h"
 #include "cpg/recorder.h"
 #include "memtrack/thread_memory.h"
@@ -39,6 +39,8 @@
 namespace {
 
 using namespace inspector;
+namespace kernels = analysis::kernels;
+using analysis::GraphView;
 
 void BM_PtEncodeConditional(benchmark::State& state) {
   ptsim::CountingSink sink;
@@ -188,7 +190,7 @@ void BM_QueryLatestWriters(benchmark::State& state) {
   const auto n = static_cast<cpg::NodeId>(g.nodes().size());
   cpg::NodeId id = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(g.latest_writers(id));
+    benchmark::DoNotOptimize(kernels::latest_writers(GraphView(g), id));
     id = (id + 1) % n;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -237,7 +239,7 @@ void BM_QueryBackwardSlice(benchmark::State& state) {
   const cpg::Graph g = synthetic_cpg(threads, 32, 8);
   const auto last = static_cast<cpg::NodeId>(g.nodes().size() - 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(g.backward_slice(last));
+    benchmark::DoNotOptimize(kernels::backward_slice(GraphView(g), last));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -247,7 +249,7 @@ void BM_QueryForwardSlice(benchmark::State& state) {
   const auto threads = static_cast<std::uint32_t>(state.range(0));
   const cpg::Graph g = synthetic_cpg(threads, 32, 8);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(g.forward_slice(0));
+    benchmark::DoNotOptimize(kernels::forward_slice(GraphView(g), 0));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -309,7 +311,7 @@ void BM_QueryRaceScan(benchmark::State& state) {
   const auto threads = static_cast<std::uint32_t>(state.range(0));
   const cpg::Graph g = synthetic_cpg(threads, 32, 8);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::find_races(g));
+    benchmark::DoNotOptimize(kernels::find_races(GraphView(g), {}, 0));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

@@ -8,10 +8,15 @@
 // under two different schedules, and uses the CPG's backward slice and
 // latest-writer queries to explain each outcome.
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
+#include <memory>
+#include <utility>
+#include <variant>
 
 #include "core/inspector.h"
 #include "memtrack/shared_memory.h"
+#include "query/engine.h"
 #include "workloads/common.h"
 
 namespace {
@@ -70,8 +75,22 @@ runtime::Program figure1_program() {
   return p;
 }
 
-void explain(const runtime::ExecutionResult& result, std::uint64_t y_addr) {
-  const auto& g = *result.graph;
+/// One query's result, exiting on a failed query (the figure-1 graph
+/// answers every query below).
+template <typename R>
+R ask(query::QueryEngine& engine, const query::Query& q) {
+  auto reply = engine.run(q);
+  if (!reply.ok()) {
+    std::cerr << "query failed: " << reply.status().message() << "\n";
+    std::exit(1);
+  }
+  return std::get<R>(std::move(reply->result));
+}
+
+void explain(runtime::ExecutionResult result, std::uint64_t y_addr) {
+  query::QueryEngine engine(
+      std::make_shared<const cpg::Graph>(std::move(*result.graph)));
+  const auto& g = engine.graph();
   const std::uint64_t y_page = memtrack::page_id_of(y_addr);
 
   std::cout << "  final y-word = "
@@ -79,21 +98,26 @@ void explain(const runtime::ExecutionResult& result, std::uint64_t y_addr) {
 
   // Who wrote y, in happens-before order?
   std::cout << "  writers of y's page, with order:\n";
-  const auto writers = g.writers_of_page(y_page);
-  for (auto w : writers) {
+  const auto accessors = ask<query::PageAccessorsResult>(
+      engine, query::PageAccessorsQuery{y_page});
+  for (auto w : accessors.writers) {
     std::cout << "    " << g.node(w) << "\n";
   }
   // The main thread's final read: which writer does it actually see?
   const auto main_nodes = g.thread_nodes(0);
   const cpg::NodeId last_main = main_nodes.back();
-  for (const auto& e : g.latest_writers(last_main)) {
+  const auto latest = ask<query::EdgeListResult>(
+      engine, query::LatestWritersQuery{last_main});
+  for (const auto& e : latest.edges) {
     if (e.object == y_page) {
       const auto& n = g.node(e.from);
       std::cout << "  main's final read of y is explained by thread "
                 << n.thread << "'s sub-computation alpha=" << n.alpha
                 << "\n";
       std::cout << "  full provenance slice of that read: ";
-      for (auto id : g.backward_slice(last_main)) {
+      const auto slice = ask<query::NodeListResult>(
+          engine, query::BackwardSliceQuery{last_main});
+      for (auto id : slice.nodes) {
         std::cout << "L" << g.node(id).thread << "[" << g.node(id).alpha
                   << "] ";
       }
@@ -139,9 +163,8 @@ int main() {
     core::Options options;
     options.schedule_seed = seed;
     options.schedule_jitter_ns = 120'000;
-    const auto result = core::Inspector(options).run(program);
     std::cout << "schedule seed " << seed << ":\n";
-    explain(result, y);
+    explain(core::Inspector(options).run(program), y);
     std::cout << "\n";
   }
   std::cout << "The runs disagree on y; the CPG pinpoints the "

@@ -1,4 +1,5 @@
-// Critical-path and graph-shape analysis of a CPG.
+// The critical path the critical-path kernel (analysis/kernels.h)
+// returns.
 //
 // The longest chain of dependent sub-computations bounds how much an
 // incremental or replicated re-execution (the paper's §I workflows:
@@ -6,10 +7,10 @@
 // everything on the critical path must re-run sequentially.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
-#include "cpg/graph.h"
+#include "cpg/node.h"
 
 namespace inspector::analysis {
 
@@ -28,22 +29,5 @@ struct CriticalPath {
                              static_cast<double>(length);
   }
 };
-
-/// Longest path through the recorded control+sync edges (DAG dynamic
-/// programming over a topological order).
-[[nodiscard]] CriticalPath critical_path(const cpg::Graph& graph);
-
-/// Per-thread summary used by the reports: sub-computations, thunks,
-/// pages read/written.
-struct ThreadSummary {
-  cpg::ThreadId thread = 0;
-  std::size_t subcomputations = 0;
-  std::uint64_t thunks = 0;
-  std::uint64_t pages_read = 0;
-  std::uint64_t pages_written = 0;
-};
-
-[[nodiscard]] std::vector<ThreadSummary> per_thread_summary(
-    const cpg::Graph& graph);
 
 }  // namespace inspector::analysis

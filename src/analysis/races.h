@@ -1,4 +1,5 @@
-// Happens-before race detection over the CPG.
+// The race report the race kernel (analysis/kernels.h, find_races)
+// returns.
 //
 // Two sub-computations race when they are concurrent under the
 // happens-before partial order (vector clocks incomparable) and their
@@ -10,10 +11,9 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <vector>
+#include <ostream>
 
-#include "cpg/graph.h"
+#include "cpg/node.h"
 
 namespace inspector::analysis {
 
@@ -26,23 +26,10 @@ struct RaceReport {
   bool operator==(const RaceReport&) const = default;
 };
 
-std::ostream& operator<<(std::ostream& os, const RaceReport& report);
-
-struct RaceOptions {
-  /// Report at most this many races (0 = unlimited).
-  std::size_t limit = 0;
-  /// Ignore conflicts on pages in this set (e.g. known false-sharing
-  /// accumulators).
-  std::vector<std::uint64_t> ignored_pages;
-};
-
-/// All conflicting concurrent pairs. Page-major over the graph's
-/// inverted index: only nodes that touched the same page are paired,
-/// so cost scales with real page sharing rather than all node pairs.
-[[nodiscard]] std::vector<RaceReport> find_races(const cpg::Graph& graph,
-                                                 const RaceOptions& options = {});
-
-/// True when the graph is race-free (short-circuits on first hit).
-[[nodiscard]] bool race_free(const cpg::Graph& graph);
+inline std::ostream& operator<<(std::ostream& os, const RaceReport& report) {
+  return os << (report.write_write ? "W/W" : "R/W") << " race on page "
+            << report.page << " between node " << report.first << " and "
+            << report.second;
+}
 
 }  // namespace inspector::analysis

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "analysis/graph_view.h"
 #include "util/page_set.h"
 #include "util/parallel.h"
 
@@ -331,20 +330,6 @@ bool Graph::concurrent(NodeId a, NodeId b) const {
   return !happens_before(a, b) && !happens_before(b, a);
 }
 
-std::optional<std::size_t> Graph::page_index_of(std::uint64_t page) const {
-  return analysis::kernels::page_index_in(pages_, page);
-}
-
-std::span<const NodeId> Graph::page_writers(std::uint64_t page) const {
-  const auto idx = page_index_of(page);
-  return idx ? writers_at(*idx) : std::span<const NodeId>{};
-}
-
-std::span<const NodeId> Graph::page_readers(std::uint64_t page) const {
-  const auto idx = page_index_of(page);
-  return idx ? readers_at(*idx) : std::span<const NodeId>{};
-}
-
 std::span<const NodeId> Graph::writers_at(std::size_t page_index) const {
   if (page_index >= pages_.size()) {
     throw std::out_of_range("writers_at: bad page index");
@@ -359,33 +344,6 @@ std::span<const NodeId> Graph::readers_at(std::size_t page_index) const {
   }
   return {readers_.data() + reader_offsets_[page_index],
           readers_.data() + reader_offsets_[page_index + 1]};
-}
-
-std::vector<Edge> Graph::data_dependencies(NodeId reader) const {
-  return analysis::kernels::data_dependencies(analysis::GraphView(*this),
-                                              reader);
-}
-
-std::vector<Edge> Graph::latest_writers(NodeId reader) const {
-  return analysis::kernels::latest_writers(analysis::GraphView(*this), reader);
-}
-
-std::vector<NodeId> Graph::writers_of_page(std::uint64_t page) const {
-  const auto span = page_writers(page);
-  return {span.begin(), span.end()};
-}
-
-std::vector<NodeId> Graph::readers_of_page(std::uint64_t page) const {
-  const auto span = page_readers(page);
-  return {span.begin(), span.end()};
-}
-
-std::vector<NodeId> Graph::backward_slice(NodeId start) const {
-  return analysis::kernels::backward_slice(analysis::GraphView(*this), start);
-}
-
-std::vector<NodeId> Graph::forward_slice(NodeId start) const {
-  return analysis::kernels::forward_slice(analysis::GraphView(*this), start);
 }
 
 std::span<const NodeId> Graph::topological_view() const {

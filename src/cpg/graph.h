@@ -2,10 +2,14 @@
 // vertices are sub-computations and whose edges record control,
 // synchronization, and data dependencies.
 //
-// Construction builds a shared, immutable query index once (CSR
-// adjacency, per-thread node lists, a happens-before-compatible rank,
-// and a page -> writers/readers inverted index); every dependence and
-// slicing query below consumes the index instead of scanning all nodes.
+// A Graph is data plus its query index, nothing more. Construction
+// builds the shared, immutable index once (CSR adjacency, per-thread
+// node lists, a happens-before-compatible rank, topological levels,
+// and a page -> writers/readers inverted index). The questions asked
+// of it -- dependences, slices, races, taint, invalidation, the
+// critical path -- live in analysis/kernels.h, which reads this index
+// through analysis::GraphView; query::QueryEngine is the front door
+// that answers them.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +69,7 @@ class Graph {
     return nodes_.at(id);
   }
   /// Control + sync edges recorded at build time (data edges are
-  /// derived on demand; see queries below).
+  /// derived on demand by the kernels in analysis/kernels.h).
   [[nodiscard]] const std::vector<Edge>& edges() const noexcept {
     return edges_;
   }
@@ -91,26 +95,18 @@ class Graph {
 
   // --- shared query index ----------------------------------------------
   /// Every distinct page any node read or wrote, sorted. The position of
-  /// a page in this span is its dense index: analyses can size flat
-  /// arrays by page_count() and use page_index_of() instead of hash maps.
+  /// a page in this span is its dense index: analyses size flat arrays
+  /// by page_count() and find a page's index with
+  /// analysis::kernels::page_index_in instead of a hash map.
   [[nodiscard]] std::span<const std::uint64_t> pages() const noexcept {
     return pages_;
   }
   [[nodiscard]] std::size_t page_count() const noexcept {
     return pages_.size();
   }
-  /// Dense index of `page` in pages(), if any node touched it.
-  [[nodiscard]] std::optional<std::size_t> page_index_of(
-      std::uint64_t page) const;
-
-  /// Writers/readers of `page` from the inverted index, sorted by
-  /// happens-before-compatible rank (see rank()).
-  [[nodiscard]] std::span<const NodeId> page_writers(std::uint64_t page) const;
-  [[nodiscard]] std::span<const NodeId> page_readers(std::uint64_t page) const;
-
-  /// The same buckets addressed by dense page index (the position in
-  /// pages()). Lets scans that already iterate the dense page range
-  /// skip the per-page binary search.
+  /// Writers/readers of the page at `page_index` (its position in
+  /// pages()) from the inverted index, sorted by happens-before-
+  /// compatible rank (see rank()).
   [[nodiscard]] std::span<const NodeId> writers_at(std::size_t page_index) const;
   [[nodiscard]] std::span<const NodeId> readers_at(std::size_t page_index) const;
 
@@ -122,37 +118,6 @@ class Graph {
   [[nodiscard]] std::span<const std::uint32_t> ranks() const noexcept {
     return rank_;
   }
-
-  // --- data-dependence queries (§IV-A III) -----------------------------
-  // These and the slices forward to the provenance kernels
-  // (analysis/kernels.h) over this graph's index; they throw
-  // std::out_of_range for an unknown node id.
-
-  /// All update-use (read-after-write) dependencies of `reader`: edges
-  /// from every sub-computation that happens-before `reader` and whose
-  /// write set intersects `reader`'s read set.
-  [[nodiscard]] std::vector<Edge> data_dependencies(NodeId reader) const;
-
-  /// For each page `reader` reads, the *latest* writer under
-  /// happens-before (the writer no other happens-before writer of the
-  /// same page succeeds). This is the dataflow a slicing query follows.
-  [[nodiscard]] std::vector<Edge> latest_writers(NodeId reader) const;
-
-  /// All nodes that wrote `page`, in rank order (index lookup).
-  [[nodiscard]] std::vector<NodeId> writers_of_page(std::uint64_t page) const;
-  [[nodiscard]] std::vector<NodeId> readers_of_page(std::uint64_t page) const;
-
-  /// Backward provenance slice: every node reachable from `start` going
-  /// against control, sync, and latest-writer data edges. This is the
-  /// "why is the state like this" query of the debugging case study
-  /// (§VIII).
-  [[nodiscard]] std::vector<NodeId> backward_slice(NodeId start) const;
-
-  /// Forward impact slice: every node reachable from `start` along
-  /// control, sync, and read-after-write data edges -- everything whose
-  /// result may depend on `start`. The change-propagation query of the
-  /// incremental-computation workflow (§I, iThreads).
-  [[nodiscard]] std::vector<NodeId> forward_slice(NodeId start) const;
 
   /// Topological order consistent with happens-before, computed once
   /// at construction; throws std::logic_error when the recorded graph

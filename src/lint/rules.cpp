@@ -92,8 +92,9 @@ std::size_t skip_balanced(const std::vector<Token>& t, std::size_t i,
 
 const std::vector<std::string_view>& all_rules() {
   static const std::vector<std::string_view> rules = {
-      kRuleNoThrow,    kRuleFailpointSeam,  kRuleFinalizerPurity,
-      kRuleDeterminism, kRuleFormatVersion, kRuleAnnotation,
+      kRuleNoThrow,       kRuleFailpointSeam, kRuleFinalizerPurity,
+      kRuleDeterminism,   kRuleFormatVersion, kRuleIncludeLayering,
+      kRuleAnnotation,
   };
   return rules;
 }
@@ -567,6 +568,46 @@ void rule_determinism(const LexedFile& file, std::vector<Finding>& out) {
   }
 }
 
+// --- include-layering ------------------------------------------------
+
+/// src/cpg/ is the data layer the analyses, storage and serving sit
+/// on: it may include its own headers and the layers below it, never a
+/// layer above (that would close a dependency cycle back into cpg/).
+/// Reads the quoted target of each opaque `#include` directive token.
+void rule_include_layering(const LexedFile& file, std::vector<Finding>& out) {
+  if (!starts_with(file.path, "src/cpg/")) return;
+  constexpr std::array<std::string_view, 4> kAllowedDirs = {"cpg", "util",
+                                                            "vclock", "sync"};
+  const auto skip_blanks = [](std::string_view& s) {
+    while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
+      s.remove_prefix(1);
+    }
+  };
+  for (const Token& tok : file.tokens) {
+    if (tok.kind != TokKind::kPreprocessor) continue;
+    std::string_view text = tok.text.substr(1);  // past the `#`
+    skip_blanks(text);
+    if (!starts_with(text, "include")) continue;
+    text.remove_prefix(std::string_view("include").size());
+    skip_blanks(text);
+    if (!starts_with(text, "\"")) continue;  // <system> headers
+    text.remove_prefix(1);
+    const std::string_view target = text.substr(0, text.find('"'));
+    const std::size_t slash = target.find('/');
+    if (slash == std::string_view::npos) continue;
+    const std::string_view dir = target.substr(0, slash);
+    if (std::find(kAllowedDirs.begin(), kAllowedDirs.end(), dir) !=
+        kAllowedDirs.end()) {
+      continue;
+    }
+    out.push_back(Finding{
+        std::string(kRuleIncludeLayering), file.path, tok.line,
+        "src/cpg/ includes \"" + std::string(target) +
+            "\"; the CPG layer may include only cpg/, util/, vclock/ "
+            "and sync/ headers"});
+  }
+}
+
 }  // namespace
 
 std::vector<Finding> run_rules(const LexedFile& file) {
@@ -575,6 +616,7 @@ std::vector<Finding> run_rules(const LexedFile& file) {
   rule_failpoint_seam(file, out);
   rule_finalizer_purity(file, out);
   rule_determinism(file, out);
+  rule_include_layering(file, out);
   std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
     if (a.line != b.line) return a.line < b.line;
     return a.rule < b.rule;
@@ -790,6 +832,26 @@ bool cpp_path(std::string_view path) {
   return false;
 }
 
+/// True when `code` defines `constant` (`kCpgFormatVersion = 3;`): the
+/// whole identifier followed by `=`, not `==`. Passing the constant on
+/// or comparing against it leaves the version alone.
+bool defines_constant(std::string_view code, std::string_view constant) {
+  for (std::size_t at = code.find(constant); at != std::string_view::npos;
+       at = code.find(constant, at + 1)) {
+    if (at > 0 && (std::isalnum(static_cast<unsigned char>(code[at - 1])) ||
+                   code[at - 1] == '_')) {
+      continue;
+    }
+    std::size_t i = at + constant.size();
+    while (i < code.size() && (code[i] == ' ' || code[i] == '\t')) ++i;
+    if (i < code.size() && code[i] == '=' &&
+        (i + 1 == code.size() || code[i + 1] != '=')) {
+      return true;
+    }
+  }
+  return false;
+}
+
 struct VersionedArea {
   std::string_view file;
   std::vector<std::string_view> constants;
@@ -855,9 +917,10 @@ std::vector<Finding> check_format_version(
       consider(line, std::string_view());
     if (first_hit == 0) continue;
 
-    // Does any ± code line of a C++ file in the diff touch one of the
-    // area's version constants? Prose (a changelog saying "no bump")
-    // and comments naming the constant leave the version alone.
+    // Does any ± code line of a C++ file in the diff define one of the
+    // area's version constants? Prose (a changelog saying "no bump"),
+    // comments naming the constant, and code that only re-passes it
+    // leave the version alone.
     bool bumped = false;
     for (const DiffTouch& other : diff) {
       if (!cpp_path(other.path)) continue;
@@ -866,7 +929,7 @@ std::vector<Finding> check_format_version(
         const std::string_view code =
             std::string_view(text).substr(0, text.find("//"));
         for (const std::string_view constant : area->constants) {
-          bumped = bumped || code.find(constant) != std::string_view::npos;
+          bumped = bumped || defines_constant(code, constant);
         }
       }
     }
@@ -879,7 +942,7 @@ std::vector<Finding> check_format_version(
     }
     out.push_back(Finding{
         std::string(kRuleFormatVersion), touch.path, first_hit,
-        "diff changes `" + hit_function + "` but does not touch " +
+        "diff changes `" + hit_function + "` but does not redefine " +
             constants +
             "; format changes must bump (or deliberately annotate) the "
             "version constant"});

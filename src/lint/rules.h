@@ -33,8 +33,13 @@
 //                              src/analysis/kernels.h)
 //   format-version-discipline  a diff touching serialize/deserialize
 //                              code in cpg/ or shard/format.cpp must
-//                              also touch the matching k*FormatVersion
-//                              constant (CI mode only)
+//                              also change the line defining the
+//                              matching k*FormatVersion constant (CI
+//                              mode only)
+//   include-layering           in src/cpg/, an `#include "<dir>/..."`
+//                              whose <dir> is not cpg, util, vclock or
+//                              sync (the data layer never includes the
+//                              analyses, storage or serving above it)
 #pragma once
 
 #include <cstdint>
@@ -53,6 +58,7 @@ inline constexpr std::string_view kRuleFinalizerPurity = "finalizer-purity";
 inline constexpr std::string_view kRuleDeterminism = "determinism-hygiene";
 inline constexpr std::string_view kRuleFormatVersion =
     "format-version-discipline";
+inline constexpr std::string_view kRuleIncludeLayering = "include-layering";
 inline constexpr std::string_view kRuleAnnotation = "lint-annotation";
 
 /// Every enforced rule name, for --list-rules and fixture validation.

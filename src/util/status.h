@@ -131,8 +131,13 @@ class [[nodiscard]] Result {
   [[nodiscard]] T& value() & { return *value_; }
   [[nodiscard]] T&& value() && { return *std::move(value_); }
 
+  // Mutable access too, so `std::move(result->member)` and
+  // `*std::move(result)` move out of the value instead of copying it.
   [[nodiscard]] const T* operator->() const { return &*value_; }
+  [[nodiscard]] T* operator->() { return &*value_; }
   [[nodiscard]] const T& operator*() const& { return *value_; }
+  [[nodiscard]] T& operator*() & { return *value_; }
+  [[nodiscard]] T&& operator*() && { return *std::move(value_); }
 
  private:
   Status status_;

@@ -1,13 +1,13 @@
-// Tests for the analysis layer: taint propagation, race detection,
-// NUMA affinity, critical path (the §VIII case studies as libraries).
+// Tests for the analysis layer on recorded executions: taint
+// propagation, race detection and the critical path (the provenance
+// kernels over the in-memory graph), and NUMA affinity (the §VIII case
+// studies as libraries).
 #include <gtest/gtest.h>
 
 #include <unordered_set>
 
-#include "analysis/critical_path.h"
+#include "analysis/graph_view.h"
 #include "analysis/numa.h"
-#include "analysis/races.h"
-#include "analysis/taint.h"
 #include "core/inspector.h"
 #include "memtrack/shared_memory.h"
 #include "runtime/executor.h"
@@ -17,6 +17,8 @@
 namespace {
 
 using namespace inspector;
+namespace kernels = analysis::kernels;
+using analysis::GraphView;
 using workloads::global_word;
 using workloads::mutex_id;
 using workloads::ScriptBuilder;
@@ -70,23 +72,23 @@ TEST_F(AnalysisFixture, TaintFollowsTwoHopFlow) {
 
   const PageSet seeds = {
       memtrack::page_id_of(memtrack::AddressLayout::kInputBase)};
-  const auto taint = analysis::propagate_taint(g, seeds);
+  const auto taint =
+      kernels::propagate(GraphView(g), seeds, /*thread_carryover=*/true);
 
   // The shared page A wrote and the second-hop page B wrote are both
   // tainted.
-  EXPECT_TRUE(page_set_contains(taint.tainted_pages,
+  EXPECT_TRUE(page_set_contains(taint.pages,
                                 memtrack::page_id_of(global_word(0))));
-  EXPECT_TRUE(page_set_contains(taint.tainted_pages,
+  EXPECT_TRUE(page_set_contains(taint.pages,
                                 memtrack::page_id_of(global_word(512))));
   // C's private page is not.
   EXPECT_FALSE(page_set_contains(
-      taint.tainted_pages,
-      memtrack::page_id_of(workloads::thread_heap_base(2))));
+      taint.pages, memtrack::page_id_of(workloads::thread_heap_base(2))));
 
   // A (thread 1) and B (thread 2) have tainted nodes; C (thread 3)
   // does not.
   std::unordered_set<cpg::ThreadId> tainted_threads;
-  for (cpg::NodeId id : taint.tainted_nodes) {
+  for (cpg::NodeId id : taint.nodes) {
     tainted_threads.insert(g.node(id).thread);
   }
   EXPECT_TRUE(tainted_threads.contains(1));
@@ -100,14 +102,14 @@ TEST_F(AnalysisFixture, TaintWithoutCarryoverIsPagePure) {
   const PageSet seeds = {
       memtrack::page_id_of(memtrack::AddressLayout::kInputBase)};
 
-  analysis::TaintOptions no_carry;
-  no_carry.track_register_carryover = false;
-  const auto pure = analysis::propagate_taint(g, seeds, no_carry);
-  const auto carry = analysis::propagate_taint(g, seeds);
+  const auto pure =
+      kernels::propagate(GraphView(g), seeds, /*thread_carryover=*/false);
+  const auto carry =
+      kernels::propagate(GraphView(g), seeds, /*thread_carryover=*/true);
   // Register carry-over can only taint more, never less.
-  EXPECT_LE(pure.tainted_nodes.size(), carry.tainted_nodes.size());
-  for (std::uint64_t page : pure.tainted_pages) {
-    EXPECT_TRUE(page_set_contains(carry.tainted_pages, page));
+  EXPECT_LE(pure.nodes.size(), carry.nodes.size());
+  for (std::uint64_t page : pure.pages) {
+    EXPECT_TRUE(page_set_contains(carry.pages, page));
   }
 }
 
@@ -116,9 +118,10 @@ TEST_F(AnalysisFixture, TaintedSinksFindExitNodes) {
   const auto& g = *result.graph;
   const PageSet seeds = {
       memtrack::page_id_of(memtrack::AddressLayout::kInputBase)};
-  const auto taint = analysis::propagate_taint(g, seeds);
-  const auto sinks =
-      analysis::tainted_sinks(g, taint, sync::SyncEventKind::kThreadExit);
+  const auto taint =
+      kernels::propagate(GraphView(g), seeds, /*thread_carryover=*/true);
+  const auto sinks = kernels::marked_sinks(GraphView(g), taint.nodes,
+                                           sync::SyncEventKind::kThreadExit);
   // A's and B's exits are tainted sinks; C's is not.
   std::unordered_set<cpg::ThreadId> sink_threads;
   for (auto id : sinks) sink_threads.insert(g.node(id).thread);
@@ -147,32 +150,33 @@ runtime::Program racy_program() {
 
 TEST_F(AnalysisFixture, DetectsUnsynchronizedWriteWrite) {
   const auto result = run(racy_program());
-  const auto races = analysis::find_races(*result.graph);
+  const GraphView view(*result.graph);
+  const auto races = kernels::find_races(view, {}, 0);
   ASSERT_FALSE(races.empty());
   EXPECT_TRUE(races[0].write_write);
   EXPECT_EQ(races[0].page, memtrack::page_id_of(global_word(0)));
-  EXPECT_FALSE(analysis::race_free(*result.graph));
+  EXPECT_FALSE(kernels::find_races(view, {}, 1).empty());
 }
 
 TEST_F(AnalysisFixture, LockedAccessesAreNotRaces) {
   const auto result = run(flow_program());
-  EXPECT_TRUE(analysis::race_free(*result.graph))
+  EXPECT_TRUE(kernels::find_races(GraphView(*result.graph), {}, 1).empty())
       << "lock-ordered and join-ordered accesses are happens-before "
          "ordered";
 }
 
 TEST_F(AnalysisFixture, IgnoredPagesSuppressReports) {
   const auto result = run(racy_program());
-  analysis::RaceOptions options;
-  options.ignored_pages = {memtrack::page_id_of(global_word(0))};
-  EXPECT_TRUE(analysis::find_races(*result.graph, options).empty());
+  const PageSet ignored = {memtrack::page_id_of(global_word(0))};
+  EXPECT_TRUE(kernels::find_races(GraphView(*result.graph), ignored, 0)
+                  .empty());
 }
 
 TEST_F(AnalysisFixture, RaceLimitShortCircuits) {
   const auto result = run(racy_program());
-  analysis::RaceOptions options;
-  options.limit = 1;
-  EXPECT_EQ(analysis::find_races(*result.graph, options).size(), 1u);
+  EXPECT_EQ(kernels::find_races(GraphView(*result.graph), {}, /*limit=*/1)
+                .size(),
+            1u);
 }
 
 TEST_F(AnalysisFixture, LockDisciplinedWorkloadsAreRaceFree) {
@@ -185,7 +189,8 @@ TEST_F(AnalysisFixture, LockDisciplinedWorkloadsAreRaceFree) {
        {"histogram", "string_match", "swaptions", "word_count",
         "blackscholes", "kmeans", "reverse_index", "streamcluster"}) {
     const auto result = run(workloads::make_workload(name, config));
-    EXPECT_TRUE(analysis::race_free(*result.graph)) << name;
+    EXPECT_TRUE(kernels::find_races(GraphView(*result.graph), {}, 1).empty())
+        << name;
   }
 }
 
@@ -202,7 +207,8 @@ TEST_F(AnalysisFixture, FalseSharingWorkloadsAreFlagged) {
   for (const std::string name :
        {"linear_regression", "matrix_multiply", "pca", "canneal"}) {
     const auto result = run(workloads::make_workload(name, config));
-    EXPECT_FALSE(analysis::race_free(*result.graph)) << name;
+    EXPECT_FALSE(kernels::find_races(GraphView(*result.graph), {}, 1).empty())
+        << name;
   }
 }
 
@@ -256,7 +262,7 @@ TEST_F(AnalysisFixture, CriticalPathOfSequentialChain) {
   p.main_script = 0;
   p.scripts.push_back(main.take());
   const auto result = run(p);
-  const auto cp = analysis::critical_path(*result.graph);
+  const auto cp = kernels::critical_path(GraphView(*result.graph));
   // Single thread: the critical path is the whole node chain.
   EXPECT_EQ(cp.length, result.graph->nodes().size());
   EXPECT_DOUBLE_EQ(cp.parallelism(), 1.0);
@@ -274,28 +280,15 @@ TEST_F(AnalysisFixture, ParallelWorkloadHasParallelism) {
   // streamcluster: barrier rounds give every worker a long node chain,
   // so the graph is much wider than its critical path.
   const auto result = run(workloads::make_streamcluster(config));
-  const auto cp = analysis::critical_path(*result.graph);
+  const auto cp = kernels::critical_path(GraphView(*result.graph));
   EXPECT_GT(cp.parallelism(), 2.0)
       << "8 barrier-round workers must show available parallelism";
   EXPECT_EQ(cp.total_nodes, result.graph->nodes().size());
 }
 
-TEST_F(AnalysisFixture, PerThreadSummaryAddsUp) {
-  const auto result = run(flow_program());
-  const auto& g = *result.graph;
-  const auto summaries = analysis::per_thread_summary(g);
-  std::size_t nodes = 0;
-  std::uint64_t thunks = 0;
-  for (const auto& s : summaries) {
-    nodes += s.subcomputations;
-    thunks += s.thunks;
-  }
-  EXPECT_EQ(nodes, g.nodes().size());
-  EXPECT_EQ(thunks, g.stats().thunks);
-}
-
 TEST(CriticalPathEdge, EmptyGraph) {
-  const auto cp = analysis::critical_path(cpg::Graph{});
+  const cpg::Graph empty;
+  const auto cp = kernels::critical_path(GraphView(empty));
   EXPECT_EQ(cp.length, 0u);
   EXPECT_TRUE(cp.nodes.empty());
 }

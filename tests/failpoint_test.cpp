@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/graph_view.h"
 #include "cpg/graph.h"
 #include "history_fixtures.h"
 #include "query/engine.h"
@@ -416,9 +417,10 @@ TEST(FailpointStore, QuarantinedShardAboveTheReaderLeavesLatestWritersIntact) {
   // page inside the last shard's page fence.
   cpg::NodeId reader = cpg::kInvalidNode;
   std::uint64_t shared_page = 0;
+  const analysis::GraphView view(source);
   for (cpg::NodeId v = 0; v < source.nodes().size(); ++v) {
     if (manifest->node_shard[v] + 1 >= manifest->shard_count ||
-        source.latest_writers(v).empty()) {
+        analysis::kernels::latest_writers(view, v).empty()) {
       continue;
     }
     for (const std::uint64_t page : source.node(v).read_set) {

@@ -1,16 +1,21 @@
-// CPG query tests on hand-crafted graphs: data dependencies, latest
-// writers, slices, topological order, validation (§IV-A III).
+// CPG tests on hand-crafted graphs: the index (happens-before, page
+// buckets, topological order, validation) and the provenance kernels
+// over it -- data dependencies, latest writers, slices (§IV-A III).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
+#include "analysis/graph_view.h"
 #include "cpg/graph.h"
 
 namespace {
 
 using namespace inspector::cpg;
+namespace kernels = inspector::analysis::kernels;
 namespace sync = inspector::sync;
+using inspector::analysis::GraphView;
 
 // Build the paper's Figure-1 example:
 //   T1.a: reads {y}, writes {x,y}   (pages: y=1, x=2)
@@ -58,12 +63,12 @@ TEST(Graph, Figure1HappensBefore) {
 TEST(Graph, Figure1DataDependencies) {
   const Graph g = figure1_graph();
   // T2.a reads x which T1.a wrote.
-  const auto deps1 = g.data_dependencies(1);
+  const auto deps1 = kernels::data_dependencies(GraphView(g), 1);
   ASSERT_EQ(deps1.size(), 1u);
   EXPECT_EQ(deps1[0].from, 0u);
   EXPECT_EQ(deps1[0].object, 2u);  // page of x
   // T1.b reads y; both T1.a and T2.a wrote it.
-  const auto deps2 = g.data_dependencies(2);
+  const auto deps2 = kernels::data_dependencies(GraphView(g), 2);
   ASSERT_EQ(deps2.size(), 2u);
 }
 
@@ -71,7 +76,7 @@ TEST(Graph, Figure1LatestWriterMasksEarlier) {
   const Graph g = figure1_graph();
   // For T1.b's read of y, T2.a is the latest writer (T1.a is masked:
   // it happens-before T2.a).
-  const auto latest = g.latest_writers(2);
+  const auto latest = kernels::latest_writers(GraphView(g), 2);
   ASSERT_EQ(latest.size(), 1u);
   EXPECT_EQ(latest[0].from, 1u);
   EXPECT_EQ(latest[0].object, 1u);
@@ -84,23 +89,29 @@ TEST(Graph, ConcurrentWritersBothLatest) {
   nodes.push_back(node(1, 1, 0, {0, 1, 0}, {}, {7}));
   nodes.push_back(node(2, 2, 0, {1, 1, 1}, {7}, {}));
   Graph g({nodes}, {}, {});
-  const auto latest = g.latest_writers(2);
+  const auto latest = kernels::latest_writers(GraphView(g), 2);
   EXPECT_EQ(latest.size(), 2u);
 }
 
 TEST(Graph, WritersAndReadersOfPage) {
   const Graph g = figure1_graph();
-  EXPECT_EQ(g.writers_of_page(1), (std::vector<NodeId>{0, 1, 2}));
-  EXPECT_EQ(g.readers_of_page(2), (std::vector<NodeId>{1}));
-  EXPECT_TRUE(g.writers_of_page(55).empty());
+  const auto ids = [](std::span<const NodeId> bucket) {
+    return std::vector<NodeId>(bucket.begin(), bucket.end());
+  };
+  const auto y = kernels::page_index_in(g.pages(), 1);
+  const auto x = kernels::page_index_in(g.pages(), 2);
+  ASSERT_TRUE(y && x);
+  EXPECT_EQ(ids(g.writers_at(*y)), (std::vector<NodeId>{0, 1, 2}));
+  EXPECT_EQ(ids(g.readers_at(*x)), (std::vector<NodeId>{1}));
+  EXPECT_FALSE(kernels::page_index_in(g.pages(), 55));
 }
 
 TEST(Graph, BackwardSliceFollowsDataAndSync) {
   const Graph g = figure1_graph();
-  const auto slice = g.backward_slice(2);
+  const auto slice = kernels::backward_slice(GraphView(g), 2);
   EXPECT_EQ(slice, (std::vector<NodeId>{0, 1, 2}))
       << "the debugging query: why is y's state what it is";
-  const auto slice0 = g.backward_slice(0);
+  const auto slice0 = kernels::backward_slice(GraphView(g), 0);
   EXPECT_EQ(slice0, (std::vector<NodeId>{0}));
 }
 

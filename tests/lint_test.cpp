@@ -320,6 +320,39 @@ TEST(LintDiff, VersionBumpAnywhereInDiffSatisfiesTheRule) {
       check_format_version(parse_unified_diff(with_bump), lookup).empty());
 }
 
+TEST(LintDiff, RePassingTheVersionConstantIsNotABump) {
+  // A refactor that only names the constant elsewhere -- here passing
+  // it on in the shard writer -- leaves the format version where it
+  // was, so the unannotated serializer change is still a finding.
+  const LexedFile pretend =
+      lex("src/cpg/serialize.cpp",
+          "int x;\n"
+          "std::vector<int> serialize_graph(int n) {\n"
+          "  return {n};\n"
+          "}\n");
+  auto lookup = [&](const std::string& p) -> const LexedFile* {
+    return p == pretend.path ? &pretend : nullptr;
+  };
+  const std::string diff =
+      "--- a/src/cpg/serialize.cpp\n"
+      "+++ b/src/cpg/serialize.cpp\n"
+      "@@ -2,2 +2,3 @@\n"
+      " std::vector<int> serialize_graph(int n) {\n"
+      "+  n += 1;\n"
+      "   return {n};\n"
+      "--- a/src/shard/format.cpp\n"
+      "+++ b/src/shard/format.cpp\n"
+      "@@ -1,1 +1,1 @@\n"
+      "-  write_u32(out, cpg::kCpgFormatVersion);\n"
+      "+  write_u32(out, version >= 3 ? cpg::kCpgFormatVersion : 2u);\n";
+  const auto findings =
+      check_format_version(parse_unified_diff(diff), lookup);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, kRuleFormatVersion);
+  EXPECT_EQ(findings[0].path, "src/cpg/serialize.cpp");
+  EXPECT_EQ(findings[0].line, 3u);
+}
+
 // --- baseline machinery via run_tree ---------------------------------
 
 class LintTreeTest : public ::testing::Test {

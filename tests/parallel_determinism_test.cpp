@@ -12,9 +12,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "analysis/incremental.h"
-#include "analysis/races.h"
-#include "analysis/taint.h"
+#include "analysis/graph_view.h"
 #include "history_fixtures.h"
 #include "util/parallel.h"
 
@@ -22,6 +20,7 @@ namespace {
 
 using namespace inspector::cpg;
 namespace analysis = inspector::analysis;
+namespace kernels = inspector::analysis::kernels;
 namespace sync = inspector::sync;
 namespace util = inspector::util;
 using inspector::PageSet;
@@ -57,20 +56,27 @@ AnalysisFingerprint fingerprint(const Graph& g) {
   }
   const auto pages = g.pages();
   fp.pages.assign(pages.begin(), pages.end());
-  for (std::uint64_t page : pages) {
-    fp.writers.push_back(g.writers_of_page(page));
-    fp.readers.push_back(g.readers_of_page(page));
+  for (std::size_t idx = 0; idx < pages.size(); ++idx) {
+    const auto writers = g.writers_at(idx);
+    const auto readers = g.readers_at(idx);
+    fp.writers.emplace_back(writers.begin(), writers.end());
+    fp.readers.emplace_back(readers.begin(), readers.end());
   }
-  fp.races = analysis::find_races(g);
+  const analysis::GraphView view(g);
+  fp.races = kernels::find_races(view, {}, 0);
 
+  // Taint and invalidation share the propagation kernel; taint runs it
+  // without register carry-over here so both settings are covered
+  // (invalidation always carries over).
   const PageSet seeds = {0, 3, 7};
-  const auto taint = analysis::propagate_taint(g, seeds);
-  fp.tainted_nodes = taint.tainted_nodes;
-  fp.tainted_pages = taint.tainted_pages;  // PageSet: already sorted
+  const auto taint =
+      kernels::propagate(view, seeds, /*thread_carryover=*/false);
+  fp.tainted_nodes = taint.nodes;
+  fp.tainted_pages = taint.pages;  // PageSet: already sorted
 
-  const auto inv = analysis::invalidate(g, seeds);
-  fp.dirty_nodes = inv.dirty;
-  fp.dirty_pages = inv.dirty_pages;
+  const auto inv = kernels::propagate(view, seeds, /*thread_carryover=*/true);
+  fp.dirty_nodes = inv.nodes;
+  fp.dirty_pages = inv.pages;
   return fp;
 }
 
@@ -143,13 +149,18 @@ TEST(PropagationRacyFlow, ConcurrentWriterReaderIsCovered) {
     const Graph g = std::move(rec).finalize();
     ASSERT_TRUE(g.concurrent(0, 1)) << "history must actually race";
 
-    const auto taint = analysis::propagate_taint(g, PageSet{100});
-    EXPECT_TRUE(taint.node_tainted(0)) << workers << " workers";
-    EXPECT_TRUE(taint.node_tainted(1))
+    const auto taint = kernels::propagate(analysis::GraphView(g),
+                                          PageSet{100},
+                                          /*thread_carryover=*/true);
+    const auto tainted = [&](NodeId id) {
+      return std::binary_search(taint.nodes.begin(), taint.nodes.end(), id);
+    };
+    EXPECT_TRUE(tainted(0)) << workers << " workers";
+    EXPECT_TRUE(tainted(1))
         << "concurrent reader of a racy write must stay tainted at "
         << workers << " workers";
-    EXPECT_TRUE(inspector::page_set_contains(taint.tainted_pages, 200));
-    EXPECT_TRUE(inspector::page_set_contains(taint.tainted_pages, 300))
+    EXPECT_TRUE(inspector::page_set_contains(taint.pages, 200));
+    EXPECT_TRUE(inspector::page_set_contains(taint.pages, 300))
         << "the racy flow's downstream write must be tainted";
   }
 }

@@ -6,7 +6,7 @@
 
 #include <tuple>
 
-#include "analysis/incremental.h"
+#include "analysis/graph_view.h"
 #include "core/inspector.h"
 #include "replay/replay.h"
 #include "snapshot/consistent_cut.h"
@@ -15,6 +15,7 @@
 namespace {
 
 using namespace inspector;
+namespace kernels = analysis::kernels;
 
 using Param = std::tuple<std::string, std::uint64_t>;  // workload, seed
 
@@ -120,18 +121,19 @@ TEST_P(PipelineProperty, ReplayReproducesUnderEverySchedule) {
 TEST_P(PipelineProperty, DataDependenciesRespectHappensBefore) {
   const auto result = run();
   const auto& g = *result.graph;
+  const analysis::GraphView view(g);
   // Sample a handful of nodes: every reported dependency must be
   // happens-before ordered and actually share the page.
   for (std::size_t i = 0; i < g.nodes().size(); i += g.nodes().size() / 5 + 1) {
     const auto id = static_cast<cpg::NodeId>(i);
-    for (const auto& e : g.data_dependencies(id)) {
+    for (const auto& e : kernels::data_dependencies(view, id)) {
       EXPECT_TRUE(g.happens_before(e.from, id));
       EXPECT_TRUE(g.node(e.from).writes_page(e.object));
       EXPECT_TRUE(g.node(id).reads_page(e.object));
     }
-    for (const auto& e : g.latest_writers(id)) {
+    for (const auto& e : kernels::latest_writers(view, id)) {
       // A latest writer is a data dependency no other writer supersedes.
-      for (const auto& other : g.data_dependencies(id)) {
+      for (const auto& other : kernels::data_dependencies(view, id)) {
         if (other.object == e.object) {
           EXPECT_FALSE(g.happens_before(e.from, other.from))
               << "latest writer superseded by another writer";

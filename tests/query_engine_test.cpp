@@ -9,7 +9,7 @@
 #include <variant>
 #include <vector>
 
-#include "analysis/taint.h"
+#include "analysis/graph_view.h"
 #include "cpg/graph.h"
 #include "history_fixtures.h"
 #include "query/engine.h"
@@ -400,7 +400,7 @@ TEST(QueryEngineCache, ErrorsAreNotCached) {
   EXPECT_EQ(engine.cache_stats().hits, 0u);
 }
 
-// --- parity with the direct analysis calls -----------------------------
+// --- parity with the direct kernel calls -------------------------------
 
 TEST(QueryEngineParity, TaintMatchesDirectAnalysis) {
   const auto snapshot =
@@ -411,12 +411,13 @@ TEST(QueryEngineParity, TaintMatchesDirectAnalysis) {
   ASSERT_TRUE(reply.ok());
   const auto& flow = std::get<FlowResult>(reply->result);
 
-  const auto direct = analysis::propagate_taint(*snapshot, seeds);
-  EXPECT_EQ(flow.nodes, direct.tainted_nodes);
-  EXPECT_EQ(flow.pages, direct.tainted_pages);
+  const analysis::GraphView view(*snapshot);
+  const auto direct = analysis::kernels::propagate(view, seeds, true);
+  EXPECT_EQ(flow.nodes, direct.nodes);
+  EXPECT_EQ(flow.pages, direct.pages);
   EXPECT_EQ(flow.sinks,
-            analysis::tainted_sinks(*snapshot, direct,
-                                    sync::SyncEventKind::kThreadExit));
+            analysis::kernels::marked_sinks(view, direct.nodes,
+                                            sync::SyncEventKind::kThreadExit));
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Equivalence of the indexed CPG queries against brute force.
 //
-// Graph::data_dependencies / latest_writers / writers_of_page /
-// readers_of_page answer from the page inverted index built at
-// construction. These tests keep the original all-nodes-scan
+// The data_dependencies / latest_writers kernels, the race scan and
+// the graph's writers_at / readers_at buckets answer from the page
+// inverted index built at construction. These tests keep the original all-nodes-scan
 // implementations as the reference and assert set-equality on
 // randomized recorder histories, so any index bug (bad rank, wrong
 // bucket boundaries, over-eager pruning) shows up as a divergence.
@@ -13,14 +13,16 @@
 #include <random>
 #include <vector>
 
-#include "analysis/races.h"
+#include "analysis/graph_view.h"
 #include "cpg/recorder.h"
 
 namespace {
 
 using namespace inspector::cpg;
+namespace kernels = inspector::analysis::kernels;
 namespace sync = inspector::sync;
 using inspector::PageSet;
+using inspector::analysis::GraphView;
 
 // --- brute-force reference implementations (the seed's O(nodes) scans) --
 
@@ -190,14 +192,24 @@ TEST_P(QueryIndexProperty, GraphValidates) {
   EXPECT_TRUE(g.validate(&reason)) << reason;
 }
 
+/// The indexed writers (or readers) of `page`: its inverted-index
+/// bucket, or nothing when no node touched it.
+std::vector<NodeId> indexed_accessors(const Graph& g, std::uint64_t page,
+                                      bool writers) {
+  const auto idx = kernels::page_index_in(g.pages(), page);
+  if (!idx) return {};
+  const auto bucket = writers ? g.writers_at(*idx) : g.readers_at(*idx);
+  return {bucket.begin(), bucket.end()};
+}
+
 TEST_P(QueryIndexProperty, PageIndexMatchesBruteForce) {
   const Graph g = random_history(GetParam());
   // Sweep past the universe edge to cover untouched pages too.
   for (std::uint64_t page = 0; page < kPageUniverse + 2; ++page) {
-    EXPECT_EQ(canonical(g.writers_of_page(page)),
+    EXPECT_EQ(canonical(indexed_accessors(g, page, /*writers=*/true)),
               canonical(brute_writers_of_page(g, page)))
         << "writers of page " << page;
-    EXPECT_EQ(canonical(g.readers_of_page(page)),
+    EXPECT_EQ(canonical(indexed_accessors(g, page, /*writers=*/false)),
               canonical(brute_readers_of_page(g, page)))
         << "readers of page " << page;
   }
@@ -206,7 +218,7 @@ TEST_P(QueryIndexProperty, PageIndexMatchesBruteForce) {
 TEST_P(QueryIndexProperty, DataDependenciesMatchBruteForce) {
   const Graph g = random_history(GetParam());
   for (const auto& n : g.nodes()) {
-    EXPECT_EQ(canonical(g.data_dependencies(n.id)),
+    EXPECT_EQ(canonical(kernels::data_dependencies(GraphView(g), n.id)),
               canonical(brute_data_dependencies(g, n.id)))
         << "data dependencies of node " << n.id;
   }
@@ -215,7 +227,7 @@ TEST_P(QueryIndexProperty, DataDependenciesMatchBruteForce) {
 TEST_P(QueryIndexProperty, LatestWritersMatchBruteForce) {
   const Graph g = random_history(GetParam());
   for (const auto& n : g.nodes()) {
-    EXPECT_EQ(canonical(g.latest_writers(n.id)),
+    EXPECT_EQ(canonical(kernels::latest_writers(GraphView(g), n.id)),
               canonical(brute_latest_writers(g, n.id)))
         << "latest writers of node " << n.id;
   }
@@ -234,9 +246,8 @@ TEST_P(QueryIndexProperty, RankEmbedsHappensBefore) {
 }
 
 TEST_P(QueryIndexProperty, RaceScanMatchesBruteForce) {
-  namespace analysis = inspector::analysis;
   const Graph g = random_history(GetParam());
-  const auto indexed = analysis::find_races(g);
+  const auto indexed = kernels::find_races(GraphView(g), {}, 0);
   const auto brute = brute_find_races(g);
   ASSERT_EQ(indexed.size(), brute.size());
   for (std::size_t i = 0; i < indexed.size(); ++i) {
@@ -245,9 +256,7 @@ TEST_P(QueryIndexProperty, RaceScanMatchesBruteForce) {
   // A limited scan must return a prefix-sized subset with the same
   // per-pair classification as the full scan.
   if (!brute.empty()) {
-    analysis::RaceOptions limit_one;
-    limit_one.limit = 1;
-    const auto limited = analysis::find_races(g, limit_one);
+    const auto limited = kernels::find_races(GraphView(g), {}, /*limit=*/1);
     ASSERT_EQ(limited.size(), 1u);
     EXPECT_TRUE(std::find(brute.begin(), brute.end(), limited.front()) !=
                 brute.end())

@@ -1,8 +1,12 @@
 // CPG serialization round-trip and text export tests.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 #include "cpg/recorder.h"
 #include "cpg/serialize.h"
+#include "util/status.h"
 
 namespace {
 
@@ -150,6 +154,26 @@ TEST(Serialize, DotExportIsWellFormed) {
   EXPECT_NE(dot.find("n0 ->"), std::string::npos);
   EXPECT_EQ(dot.back(), '\n');
   EXPECT_NE(dot.rfind("}"), std::string::npos);
+}
+
+// Decoders hand their payload out of a Result; a member moved through
+// operator-> (or the value through *std::move(result)) must move, not
+// deep-copy. A move-only member only compiles when it moves.
+TEST(Serialize, ResultValueMovesOutThroughAccessors) {
+  struct Decoded {
+    std::unique_ptr<int> payload;
+  };
+  inspector::Result<Decoded> member(Decoded{std::make_unique<int>(7)});
+  ASSERT_TRUE(member.ok());
+  const std::unique_ptr<int> moved = std::move(member->payload);
+  ASSERT_NE(moved, nullptr);
+  EXPECT_EQ(*moved, 7);
+  EXPECT_EQ(member->payload, nullptr);
+
+  inspector::Result<Decoded> whole(Decoded{std::make_unique<int>(8)});
+  const Decoded out = *std::move(whole);
+  ASSERT_NE(out.payload, nullptr);
+  EXPECT_EQ(*out.payload, 8);
 }
 
 }  // namespace

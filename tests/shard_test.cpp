@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/graph_view.h"
 #include "cpg/graph.h"
 #include "cpg/recorder.h"
 #include "cpg/serialize.h"
@@ -1016,7 +1017,9 @@ TEST(ShardedEngine, PointQueriesLoadOnlyFenceEligibleShards) {
         << "data_dependencies " << v;
 
     std::set<std::uint32_t> forward;
-    for (const cpg::NodeId u : graph.forward_slice(v)) {
+    const auto slice =
+        analysis::kernels::forward_slice(analysis::GraphView(graph), v);
+    for (const cpg::NodeId u : slice) {
       forward.insert(manifest->node_shard[u]);
       const auto readers = fence_eligible(*manifest, graph.node(u).write_set,
                                           graph.rank(u) + 1, kAll);
